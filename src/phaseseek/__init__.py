@@ -37,10 +37,12 @@ from .inference import (
     LinearClipClassifier,
     PredictionInit,
     RolloutResult,
+    SearchPolicy,
     coverage_rate,
     fit_fi,
     init_positions,
     rollout,
+    rollout_many,
     train_clip_classifier,
 )
 from .metrics import (

@@ -31,14 +31,16 @@ from .features import (
 from .inference import (
     FixedInit,
     PredictionInit,
+    SearchPolicy,
+    coverage_rate,
     fit_fi,
     init_positions,
-    rollout,
+    rollout_many,
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
-from .nets import adam_init, clone_params, load_checkpoint, param_list, save_checkpoint
-from .training import AgentPair, ReplayMemory, TrainConfig, train
+from .nets import load_checkpoint, save_checkpoint
+from .training import TrainConfig, train
 
 TRANSITIONS_SCHEMA_VERSION = 1
 
@@ -267,25 +269,40 @@ def cmd_train(args) -> int:
 # infer
 # ---------------------------------------------------------------------------
 
-def _load_agent_pair(ckpt_dir: Path, phase: int) -> tuple[AgentPair, dict]:
+def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
+    """One phase's frozen policy and fixed initialization, checked against its meta JSON."""
     meta_path = _meta_path(ckpt_dir, phase)
     if not meta_path.exists():
         raise PhaseseekError(f"missing checkpoint metadata for phase {phase}: {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    begin = load_checkpoint(ckpt_dir / f"phase{phase}_begin.qnet")
-    end = load_checkpoint(ckpt_dir / f"phase{phase}_end.qnet")
-    pair = AgentPair(
-        begin_net=begin,
-        end_net=end,
-        begin_target=clone_params(begin),
-        end_target=clone_params(end),
-        begin_adam=adam_init(param_list(begin)),
-        end_adam=adam_init(param_list(end)),
-        begin_memory=ReplayMemory(1),
-        end_memory=ReplayMemory(1),
-        window_len=int(meta["window"]),
-    )
-    return pair, meta
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise PhaseseekError(f"{meta_path}: not a JSON document: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise PhaseseekError(f"{meta_path}: expected a JSON object")
+
+    def field(key, kind, ok=lambda value: True):
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+            raise PhaseseekError(f"{meta_path}: {key} is missing or invalid: {value!r}")
+        return value
+
+    window = field("window", int, lambda w: w >= 1 and w % 2 == 1)
+    input_dim = field("input_dim", int, lambda d: d >= 1)
+    rho = [field(key, (int, float)) for key in ("rho_begin", "rho_end")]
+    try:
+        fi = FixedInit(*rho)
+    except ValueError as exc:
+        raise PhaseseekError(f"{meta_path}: {exc}") from exc
+    nets = []
+    for role in ("begin", "end"):
+        path = ckpt_dir / f"phase{phase}_{role}.qnet"
+        net = load_checkpoint(path)
+        if net.input_dim != input_dim:
+            raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
+                                 f"meta input_dim {input_dim}")
+        nets.append(net)
+    return SearchPolicy(nets[0], nets[1], window), fi
 
 
 def cmd_infer(args) -> int:
@@ -296,9 +313,9 @@ def cmd_infer(args) -> int:
     phases = [args.phase] if single_phase else list(range(args.phases))
 
     ckpt_dir = Path(args.checkpoints_dir)
-    pairs, metas = {}, {}
+    policies, fis = {}, {}
     for phase in phases:
-        pairs[phase], metas[phase] = _load_agent_pair(ckpt_dir, phase)
+        policies[phase], fis[phase] = _load_policy(ckpt_dir, phase)
 
     predictions_dir = None
     predictor = None
@@ -319,12 +336,17 @@ def cmd_infer(args) -> int:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
                              "--train-features-dir and --train-labels-dir")
 
+    # Every (video, phase) search runs in one lockstep batch, so all videos
+    # are loaded and checked before any output is written.
     features_dir = Path(args.features_dir)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stems = _video_stems(features_dir)
-    for stem in stems:
+    videos, searches = [], []
+    for stem in _video_stems(features_dir):
         seq = load_features(features_dir / f"{stem}.trnf")
+        for phase in phases:
+            expected = policies[phase].begin_net.input_dim
+            if seq.dim != expected:
+                raise PhaseseekError(f"{stem}: feature dim {seq.dim} does not match "
+                                     f"input dim {expected} of the phase {phase} policy")
         video_predictor = predictor
         if predictions_dir is not None:
             pred_path = predictions_dir / f"{stem}.csv"
@@ -333,23 +355,21 @@ def cmd_infer(args) -> int:
             provided = load_labels(pred_path, args.phases).labels
             video_predictor = lambda video, labels=provided: labels
         rmi = video_predictor is not None
-        visited_sets = []
-        pair_results = {}
         for phase in phases:
-            fi = FixedInit(metas[phase]["rho_begin"], metas[phase]["rho_end"])
-            init = PredictionInit(video_predictor, fallback=fi) if rmi else fi
-            start = init_positions(init, seq, phase)
-            result = rollout(pairs[phase], seq, start, max_steps=args.max_steps)
-            # prediction-based starts imply every clip was read upstream
-            visited = set(range(seq.num_clips)) if rmi else result.visited
-            visited_sets.append(visited)
-            pair_results[phase] = result
+            init = PredictionInit(video_predictor, fallback=fis[phase]) if rmi else fis[phase]
+            searches.append((policies[phase], seq, init_positions(init, seq, phase)))
+        videos.append((stem, seq, rmi))
+    results = iter(rollout_many(searches, max_steps=args.max_steps))
 
-        all_visited = set().union(*visited_sets)
-        coverage = len(all_visited) / seq.num_clips
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, seq, rmi in videos:
+        pair_results = {phase: next(results) for phase in phases}
+        # prediction-based starts imply every clip was read upstream
+        coverage = 1.0 if rmi else coverage_rate(
+            [r.visited for r in pair_results.values()], seq.num_clips)
         if single_phase:
-            phase = phases[0]
-            res = pair_results[phase]
+            res = pair_results[phases[0]]
             labels = np.zeros(seq.num_clips, dtype=np.int64)
             labels[res.begin: res.end + 1] = 1
             pred = PhaseLabels(labels, num_phases=2)

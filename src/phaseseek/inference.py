@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
+from .nets import NUM_ACTIONS, QNetwork, forward_batch
 from .training import (
+    ACTION_LEFT,
+    ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
-    AgentPair,
     apply_action,
     build_state,
-    select_action,
     window_indices,
 )
 
@@ -182,6 +183,19 @@ def train_clip_classifier(
 # Rollout
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SearchPolicy:
+    """A phase's frozen begin/end networks and their window length.
+
+    Rollouts read only these three attributes, so the trainer's
+    ``AgentPair`` can be passed wherever a policy is expected.
+    """
+
+    begin_net: QNetwork
+    end_net: QNetwork
+    window_len: int
+
+
 @dataclass
 class RolloutResult:
     """One phase's retrieved transition pair and the search's footprint."""
@@ -218,55 +232,135 @@ class _AgentTracker:
             self.settled = True
 
 
+# Batch geometry of every rollout forward pass.  OpenBLAS's x86-64 dgemm
+# rounds a product row differently when the row falls in a remainder
+# block of fewer than four rows (its micro-kernel height), and the 64x50
+# head product changes path again from about 1000 rows.  Blocks of at
+# most 256 states, padded with zero states to a multiple of four, keep
+# each state's Q-values bit-identical whatever other states share its
+# batch; tests/test_inference.py checks this on the host BLAS.
+_ROW_MULTIPLE = 4
+_MAX_ROWS = 256
+
+
+def _q_values(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    # Q-values of a (B, 2L, D) batch, evaluated in padded blocks (see above).
+    q = np.empty((len(states), NUM_ACTIONS))
+    for lo in range(0, len(states), _MAX_ROWS):
+        block = states[lo: lo + _MAX_ROWS]
+        pad = np.zeros((-len(block) % _ROW_MULTIPLE,) + block.shape[1:])
+        q_block, _ = forward_batch(net, np.concatenate((block, pad)), need_cache=False)
+        q[lo: lo + len(block)] = q_block[: len(block)]
+    return q
+
+
+def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    """Greedy action for each state of a ``(B, 2L, D)`` batch; ties go Right.
+
+    A state's action does not depend on which other states share its batch.
+    """
+    q = _q_values(net, states)
+    return np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
+
+
+class _Search:
+    # One (policy, video) search in flight inside rollout_many.
+    def __init__(self, policy: SearchPolicy, video: FeatureSequence, init_pos):
+        t = video.num_clips
+        p_b = min(max(init_pos[0], 0), t - 1)
+        p_e = min(max(init_pos[1], 0), t - 1)
+        self.policy = policy
+        self.video = video
+        self.begin = _AgentTracker(min(p_b, p_e))
+        self.end = _AgentTracker(max(p_b, p_e))
+        self.visited: set[int] = set()
+        self.steps = 0
+        self.visit(self.begin.pos)
+        self.visit(self.end.pos)
+        self.observe()
+
+    def visit(self, center: int) -> None:
+        idx, ok = window_indices(center, self.policy.window_len, self.video.num_clips)
+        self.visited.update(int(i) for i in idx[ok])
+
+    def observe(self) -> None:
+        self.state = build_state(self.video, self.begin.pos, self.end.pos,
+                                 self.policy.window_len).rows
+
+    def move(self, role: str, action: int) -> None:
+        agent, partner = (self.begin, self.end) if role == ROLE_BEGIN else (self.end, self.begin)
+        agent.record(apply_action(agent.pos, action, self.video.num_clips,
+                                  partner=partner.pos, role=role))
+        self.visit(agent.pos)
+
+    @property
+    def settled(self) -> bool:
+        return self.begin.settled and self.end.settled
+
+    def result(self) -> RolloutResult:
+        return RolloutResult(
+            begin=self.begin.pos,
+            end=max(self.begin.pos, self.end.pos),
+            steps_taken=self.steps,
+            visited=self.visited,
+            converged=self.settled,
+        )
+
+
+def _decide(nets: list[QNetwork], states: list[np.ndarray]) -> np.ndarray:
+    # Greedy action per (network, state) pair, one batch per distinct
+    # network and state shape (policies may share a network across windows).
+    groups: dict[tuple, list[int]] = {}
+    for i, net in enumerate(nets):
+        groups.setdefault((id(net), states[i].shape), []).append(i)
+    actions = np.empty(len(nets), dtype=np.int64)
+    for rows in groups.values():
+        actions[rows] = greedy_actions(nets[rows[0]], np.stack([states[i] for i in rows]))
+    return actions
+
+
+def rollout_many(
+    searches: list[tuple[SearchPolicy, FeatureSequence, tuple[int, int]]],
+    max_steps: int = 200,
+) -> list[RolloutResult]:
+    """Run every ``(policy, video, init_pos)`` search greedily, in lockstep.
+
+    Each round, every network with unsettled agents evaluates all of their
+    states in one batch.  Both agents of a search decide on the pre-move
+    state; begin moves first and end is clamped against begin's new
+    position.  A settled agent stops moving but its window still feeds the
+    shared state.  A search leaves the batch once both agents settle or
+    after ``max_steps`` rounds; then ``converged`` is False and the current
+    positions are reported.  Every clip whose features enter a state is
+    added to that search's ``visited``.  Results come back in input order
+    and equal those of rolling out each search alone.
+    """
+    runs = [_Search(policy, video, init_pos) for policy, video, init_pos in searches]
+    active = runs
+    while active := [s for s in active if s.steps < max_steps and not s.settled]:
+        # All begin moves precede all end moves, so within one search end
+        # is clamped against begin's new position.
+        movers = [(s, ROLE_BEGIN) for s in active if not s.begin.settled]
+        movers += [(s, ROLE_END) for s in active if not s.end.settled]
+        nets = [s.policy.begin_net if role == ROLE_BEGIN else s.policy.end_net
+                for s, role in movers]
+        actions = _decide(nets, [s.state for s, _ in movers])
+        for (s, role), action in zip(movers, actions):
+            s.move(role, action)
+        for s in active:
+            s.observe()
+            s.steps += 1
+    return [s.result() for s in runs]
+
+
 def rollout(
-    agents: AgentPair,
+    agents: SearchPolicy,
     video: FeatureSequence,
     init_pos: tuple[int, int],
     max_steps: int = 200,
 ) -> RolloutResult:
-    """Run both agents greedily until both settle or ``max_steps`` elapse.
-
-    Every clip whose features enter a state is added to ``visited``.  A
-    settled agent stops moving but its window still contributes to the
-    shared state.  When the step cap fires first, ``converged`` is False
-    and the current positions are reported.
-    """
-    t = video.num_clips
-    p_b = min(max(init_pos[0], 0), t - 1)
-    p_e = min(max(init_pos[1], 0), t - 1)
-    p_b, p_e = min(p_b, p_e), max(p_b, p_e)
-    window = agents.window_len
-
-    begin = _AgentTracker(p_b)
-    end = _AgentTracker(p_e)
-    visited: set[int] = set()
-
-    def visit(center: int) -> None:
-        idx, ok = window_indices(center, window, t)
-        visited.update(int(i) for i in idx[ok])
-
-    visit(begin.pos)
-    visit(end.pos)
-    steps = 0
-    state = build_state(video, begin.pos, end.pos, window)
-    while steps < max_steps and not (begin.settled and end.settled):
-        if not begin.settled:
-            act = select_action(agents.begin_net, state, 0.0, None)
-            begin.record(apply_action(begin.pos, act, t, partner=end.pos, role=ROLE_BEGIN))
-            visit(begin.pos)
-        if not end.settled:
-            act = select_action(agents.end_net, state, 0.0, None)
-            end.record(apply_action(end.pos, act, t, partner=begin.pos, role=ROLE_END))
-            visit(end.pos)
-        state = build_state(video, begin.pos, end.pos, window)
-        steps += 1
-    return RolloutResult(
-        begin=begin.pos,
-        end=max(begin.pos, end.pos),
-        steps_taken=steps,
-        visited=visited,
-        converged=begin.settled and end.settled,
-    )
+    """Roll out one search; see :func:`rollout_many` for the rules."""
+    return rollout_many([(agents, video, init_pos)], max_steps)[0]
 
 
 def coverage_rate(visited_sets: list[set[int]], num_clips: int) -> float:

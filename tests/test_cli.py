@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -180,6 +181,58 @@ class TestInfer:
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(tmp_path / "pred"), "--init", "fi",
         ]) == 0
+
+
+def _meta_cases():
+    good = {"phase": 0, "window": 3, "rho_begin": 0.0, "rho_end": 0.5, "input_dim": 6}
+    yield "not_json", "{window: 3"
+    yield "not_utf8", b"\xff\xfe{}"
+    yield "not_an_object", "[3, 0.0, 0.5, 6]"
+    for key in ("window", "rho_begin", "rho_end", "input_dim"):
+        yield f"missing_{key}", {k: v for k, v in good.items() if k != key}
+    for key, bad in (("window", "3"), ("window", 3.0), ("window", True), ("window", 4),
+                     ("window", 0), ("rho_begin", "0.1"), ("rho_begin", None),
+                     ("rho_end", [0.5]), ("rho_end", 1.5), ("rho_begin", 0.9),
+                     ("input_dim", 6.0), ("input_dim", 0)):
+        yield f"{key}_{bad!r}", {**good, key: bad}
+    yield "input_dim_differs_from_qnet", {**good, "input_dim": 7}
+
+
+class TestInferMetaValidation:
+    @pytest.mark.parametrize("meta", [m for _, m in _meta_cases()],
+                             ids=[name for name, _ in _meta_cases()])
+    def test_bad_meta_is_data_error(self, workspace, tmp_path, capsys, meta):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        meta_path = ckpt / "phase0_meta.json"
+        if isinstance(meta, bytes):
+            meta_path.write_bytes(meta)
+        else:
+            meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+        out = tmp_path / "out"
+        assert main([
+            "infer", "--phases", "2", "--window", "3",
+            "--features-dir", str(workspace / "data"),
+            "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
+        ]) == 2
+        assert "phase0_" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_video_dim_mismatch_names_video_and_writes_nothing(self, workspace, tmp_path,
+                                                                capsys):
+        odd = tmp_path / "odd"
+        _synth(odd, count=1, extra=("--dim", "5"))
+        mixed = tmp_path / "mixed"
+        shutil.copytree(workspace / "data", mixed)
+        shutil.copy(odd / "video_000.trnf", mixed / "video_999.trnf")
+        out = tmp_path / "out"
+        assert main([
+            "infer", "--phases", "2", "--window", "3",
+            "--features-dir", str(mixed),
+            "--checkpoints-dir", str(workspace / "ckpt"), "--out-dir", str(out),
+        ]) == 2
+        assert "video_999" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseseek.inference as inference
 from phaseseek.errors import PhaseseekError
@@ -7,13 +9,27 @@ from phaseseek.features import FeatureSequence, TransitionSet
 from phaseseek.inference import (
     FixedInit,
     PredictionInit,
+    SearchPolicy,
     coverage_rate,
     fit_fi,
+    greedy_actions,
     init_positions,
     rollout,
+    rollout_many,
     train_clip_classifier,
 )
-from phaseseek.training import ACTION_LEFT, ACTION_RIGHT, TrainConfig, create_agent_pair
+from phaseseek.nets import init_qnetwork, zero_qnetwork
+from phaseseek.training import (
+    ACTION_LEFT,
+    ACTION_RIGHT,
+    ROLE_BEGIN,
+    ROLE_END,
+    TrainConfig,
+    apply_action,
+    build_state,
+    create_agent_pair,
+    window_indices,
+)
 
 
 class TestFitFi:
@@ -138,14 +154,14 @@ def _pair(dim=1, window=1):
 
 def _scripted_actions(pair, begin_rule, end_rule, monkeypatch):
     # Replace greedy action selection with position-based scripts; with
-    # window_len 1 and one-dimensional position features, the shared state
+    # window_len 1 and one-dimensional position features, each state's
     # rows are [[pos_begin], [pos_end]].
-    def fake(net, state, eps, rng):
+    def fake(net, states):
         if net is pair.begin_net:
-            return begin_rule(int(state.rows[0, 0]))
-        return end_rule(int(state.rows[1, 0]))
+            return [begin_rule(int(rows[0, 0])) for rows in states]
+        return [end_rule(int(rows[1, 0])) for rows in states]
 
-    monkeypatch.setattr(inference, "select_action", fake)
+    monkeypatch.setattr(inference, "greedy_actions", fake)
 
 
 def _position_video(t):
@@ -209,6 +225,125 @@ class TestRollout:
         _scripted_actions(pair, lambda p: ACTION_RIGHT, lambda p: ACTION_LEFT, monkeypatch)
         result = rollout(pair, _position_video(30), (5, 25))
         assert result.begin <= result.end
+
+
+def _reference_rollout(policy, video, init_pos, max_steps):
+    # The one-search-at-a-time loop that rollout_many batches, with one
+    # state per forward pass.
+    t = video.num_clips
+    p_b = min(max(init_pos[0], 0), t - 1)
+    p_e = min(max(init_pos[1], 0), t - 1)
+    begin = inference._AgentTracker(min(p_b, p_e))
+    end = inference._AgentTracker(max(p_b, p_e))
+    visited = set()
+
+    def visit(center):
+        idx, ok = window_indices(center, policy.window_len, t)
+        visited.update(int(i) for i in idx[ok])
+
+    def state():
+        return build_state(video, begin.pos, end.pos, policy.window_len).rows[None]
+
+    visit(begin.pos)
+    visit(end.pos)
+    steps = 0
+    rows = state()
+    while steps < max_steps and not (begin.settled and end.settled):
+        if not begin.settled:
+            act = greedy_actions(policy.begin_net, rows)[0]
+            begin.record(apply_action(begin.pos, act, t, partner=end.pos, role=ROLE_BEGIN))
+            visit(begin.pos)
+        if not end.settled:
+            act = greedy_actions(policy.end_net, rows)[0]
+            end.record(apply_action(end.pos, act, t, partner=begin.pos, role=ROLE_END))
+            visit(end.pos)
+        rows = state()
+        steps += 1
+    return (begin.pos, max(begin.pos, end.pos), steps, visited, begin.settled and end.settled)
+
+
+def _fields(result):
+    return (result.begin, result.end, result.steps_taken, result.visited, result.converged)
+
+
+@st.composite
+def _search_sets(draw):
+    dim = draw(st.integers(1, 3))
+    policies = [
+        SearchPolicy(
+            init_qnetwork(dim, hidden_dim=3, num_layers=layers, seed=seed),
+            init_qnetwork(dim, hidden_dim=3, num_layers=layers, seed=seed + 1),
+            window,
+        )
+        for seed, layers, window in draw(st.lists(
+            st.tuples(st.integers(0, 2**16), st.integers(1, 2), st.sampled_from([1, 3, 5])),
+            min_size=1, max_size=3))
+    ]
+    videos = [
+        FeatureSequence(np.random.default_rng(seed).normal(size=(t, dim)))
+        for t, seed in draw(st.lists(st.tuples(st.integers(1, 25), st.integers(0, 2**16)),
+                                     min_size=1, max_size=3))
+    ]
+    searches = []
+    for _ in range(draw(st.integers(1, 6))):
+        video = draw(st.sampled_from(videos))
+        t = video.num_clips
+        start = (draw(st.integers(-2, t + 2)), draw(st.integers(-2, t + 2)))
+        searches.append((draw(st.sampled_from(policies)), video, start))
+    return searches, draw(st.integers(0, 30))
+
+
+class TestRolloutMany:
+    @settings(max_examples=60, deadline=None)
+    @given(_search_sets())
+    def test_batch_matches_each_search_alone(self, case):
+        searches, max_steps = case
+        together = rollout_many(searches, max_steps)
+        assert len(together) == len(searches)
+        for search, result in zip(searches, together):
+            alone = rollout_many([search], max_steps)[0]
+            assert _fields(result) == _fields(alone)
+            assert _fields(result) == _reference_rollout(*search, max_steps)
+            assert result.begin <= result.end
+            assert result.steps_taken <= max(max_steps, 0)
+            t = search[1].num_clips
+            assert result.visited and all(0 <= i < t for i in result.visited)
+
+    def test_one_forward_per_network_per_round(self, monkeypatch):
+        calls = []
+        real = inference.greedy_actions
+
+        def counting(net, states):
+            calls.append(len(states))
+            return real(net, states)
+
+        monkeypatch.setattr(inference, "greedy_actions", counting)
+        policy = SearchPolicy(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
+        videos = [_position_video(t) for t in (10, 20, 30)]
+        results = rollout_many([(policy, v, (2, 5)) for v in videos], max_steps=3)
+        # zero networks tie, so both agents walk Right: no search settles early
+        assert [r.steps_taken for r in results] == [3, 3, 3]
+        assert calls == [3] * 6
+
+    def test_dim_mismatch_rejected(self):
+        policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)
+        with pytest.raises(PhaseseekError):
+            rollout_many([(policy, _position_video(10), (0, 5))])
+
+    @pytest.mark.parametrize("dims", [(16, 64, 2, 5), (2, 3, 1, 1)])
+    def test_q_values_do_not_depend_on_batch_companions(self, dims):
+        dim, hidden, layers, window = dims
+        net = init_qnetwork(dim, hidden, layers, seed=4)
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(64, 2 * window, dim))
+        alone = np.concatenate([inference._q_values(net, states[i: i + 1]) for i in range(64)])
+        for size in (1, 2, 3, 5, 8, 13, 64, 300):
+            idx = rng.integers(0, 64, size)
+            np.testing.assert_array_equal(inference._q_values(net, states[idx]), alone[idx])
+
+    def test_single_state_ties_go_right(self):
+        states = np.zeros((1, 4, 3))
+        assert list(greedy_actions(zero_qnetwork(3, 4, 1), states)) == [ACTION_RIGHT]
 
 
 class TestCoverageRate:
