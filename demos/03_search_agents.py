@@ -13,7 +13,6 @@ from phaseseek import (
     SynthConfig,
     TrainConfig,
     fit_fi,
-    init_positions,
     labels_to_transitions,
     rollout,
     synth_dataset,
@@ -37,7 +36,7 @@ tc = TrainConfig(episodes_max=2, max_steps_per_video=60, batch=32, lr=1e-3,
                  gamma=0.0, eps_start=0.5, eps_min=0.05, eps_decay=0.8,
                  seed=1, window_len=3, hidden_dim=16, num_layers=1)
 logs = []
-pair = train(train_set, phase, tc, fi, on_video=logs.append)
+policy = train(train_set, phase, tc, fi, on_video=logs.append)
 for row in logs[-3:]:
     print(f"  episode {row.episode} video {row.video}: terminal error "
           f"begin {row.begin_error}, end {row.end_error} clips")
@@ -46,8 +45,8 @@ for row in logs[-3:]:
 # transition pair while reading only a fraction of the clips.
 for seq, ts in test_set:
     gt = ts.get(phase)
-    start = init_positions(fi, seq, phase)
-    result = rollout(pair, seq, start)
+    start = fi.initial_positions(seq, phase)
+    result = rollout(policy, seq, start)
     coverage = len(result.visited) / seq.num_clips
     print(f"  init {start} -> found ({result.begin}, {result.end}), "
           f"truth {gt}, converged={result.converged} after {result.steps_taken} "

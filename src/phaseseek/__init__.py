@@ -37,10 +37,8 @@ from .inference import (
     LinearClipClassifier,
     PredictionInit,
     RolloutResult,
-    SearchPolicy,
     coverage_rate,
     fit_fi,
-    init_positions,
     rollout,
     rollout_many,
     train_clip_classifier,
@@ -62,7 +60,6 @@ from .metrics import (
 from .nets import (
     AdamState,
     QNetwork,
-    StateTensor,
     adam_init,
     adam_step,
     backward,
@@ -77,14 +74,12 @@ from .nets import (
 from .training import (
     ACTION_LEFT,
     ACTION_RIGHT,
-    AgentPair,
-    ExperienceRecord,
     ReplayMemory,
+    SearchPolicy,
     TrainConfig,
     apply_action,
     build_state,
     compute_reward,
-    create_agent_pair,
     dqn_update,
     select_action,
     train,

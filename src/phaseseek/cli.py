@@ -31,16 +31,14 @@ from .features import (
 from .inference import (
     FixedInit,
     PredictionInit,
-    SearchPolicy,
     coverage_rate,
     fit_fi,
-    init_positions,
     rollout_many,
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
 from .nets import load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+from .training import SearchPolicy, TrainConfig, train
 
 TRANSITIONS_SCHEMA_VERSION = 1
 
@@ -128,7 +126,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--phases", type=int, default=3, help="number of phases N")
-    parser.add_argument("--window", type=int, default=5, help="search window length L (odd)")
     parser.add_argument("--init", choices=["fi", "rmi"], default="fi")
 
 
@@ -154,8 +151,6 @@ def _train_config(args, phase: int) -> TrainConfig:
 def _validate_common(args) -> None:
     if args.phases < 1:
         raise UsageError("--phases must be >= 1")
-    if args.window < 1 or args.window % 2 == 0:
-        raise UsageError("--window must be a positive odd number")
 
 
 def _video_stems(features_dir: Path) -> list[str]:
@@ -179,6 +174,16 @@ def _load_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
             raise PhaseseekError(f"{stem}: labels cover {labels.num_clips} clips, features {seq.num_clips}")
         out.append((seq, labels))
     return stems, out
+
+
+def _fit_clip_classifier(labeled, args):
+    """The built-in clip classifier fitted on every clip of a loaded dataset."""
+    return train_clip_classifier(
+        np.concatenate([seq.features for seq, _ in labeled]),
+        np.concatenate([labels.labels for _, labels in labeled]),
+        num_phases=args.phases,
+        seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +224,8 @@ def _meta_path(ckpt_dir: Path, phase: int) -> Path:
 
 def cmd_train(args) -> int:
     _validate_common(args)
+    if args.window < 1 or args.window % 2 == 0:
+        raise UsageError("--window must be a positive odd number")
     if not 0 <= args.phase < args.phases:
         raise UsageError(f"--phase must lie in [0, {args.phases})")
     features_dir, labels_dir = Path(args.features_dir), Path(args.labels_dir)
@@ -228,21 +235,15 @@ def cmd_train(args) -> int:
     cfg = _train_config(args, args.phase)
     init = fi
     if args.init == "rmi":
-        clf = train_clip_classifier(
-            np.concatenate([seq.features for seq, _ in labeled]),
-            np.concatenate([labels.labels for _, labels in labeled]),
-            num_phases=args.phases,
-            seed=args.seed,
-        )
-        init = PredictionInit(clf.predict, fallback=fi)
+        init = PredictionInit(_fit_clip_classifier(labeled, args).predict, fallback=fi)
 
     ckpt_dir = Path(args.checkpoints_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_rows: list = []
-    pair = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
+    policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
 
-    save_checkpoint(pair.begin_net, ckpt_dir / f"phase{args.phase}_begin.qnet")
-    save_checkpoint(pair.end_net, ckpt_dir / f"phase{args.phase}_end.qnet")
+    save_checkpoint(policy.begin_net, ckpt_dir / f"phase{args.phase}_begin.qnet")
+    save_checkpoint(policy.end_net, ckpt_dir / f"phase{args.phase}_end.qnet")
     meta = {
         "phase": args.phase,
         "window": args.window,
@@ -318,20 +319,14 @@ def cmd_infer(args) -> int:
         policies[phase], fis[phase] = _load_policy(ckpt_dir, phase)
 
     predictions_dir = None
-    predictor = None
+    classifier = None
     if args.init == "rmi":
         if args.rmi_predictions_dir:
             predictions_dir = Path(args.rmi_predictions_dir)
         elif args.train_features_dir and args.train_labels_dir:
             _, labeled = _load_dataset(Path(args.train_features_dir),
                                        Path(args.train_labels_dir), args.phases)
-            clf = train_clip_classifier(
-                np.concatenate([seq.features for seq, _ in labeled]),
-                np.concatenate([labels.labels for _, labels in labeled]),
-                num_phases=args.phases,
-                seed=args.seed,
-            )
-            predictor = clf.predict
+            classifier = _fit_clip_classifier(labeled, args)
         else:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
                              "--train-features-dir and --train-labels-dir")
@@ -347,17 +342,21 @@ def cmd_infer(args) -> int:
             if seq.dim != expected:
                 raise PhaseseekError(f"{stem}: feature dim {seq.dim} does not match "
                                      f"input dim {expected} of the phase {phase} policy")
-        video_predictor = predictor
+        # One per-clip label vector per video, shared by all its phases.
+        predicted = None
         if predictions_dir is not None:
             pred_path = predictions_dir / f"{stem}.csv"
             if not pred_path.exists():
                 raise PhaseseekError(f"missing prediction labels for video {stem}")
-            provided = load_labels(pred_path, args.phases).labels
-            video_predictor = lambda video, labels=provided: labels
-        rmi = video_predictor is not None
+            predicted = load_labels(pred_path, args.phases).labels
+        elif classifier is not None:
+            predicted = classifier.predict(seq)
+        rmi = predicted is not None
         for phase in phases:
-            init = PredictionInit(video_predictor, fallback=fis[phase]) if rmi else fis[phase]
-            searches.append((policies[phase], seq, init_positions(init, seq, phase)))
+            init = fis[phase]
+            if rmi:
+                init = PredictionInit(lambda video, labels=predicted: labels, fallback=init)
+            searches.append((policies[phase], seq, init.initial_positions(seq, phase)))
         videos.append((stem, seq, rmi))
     results = iter(rollout_many(searches, max_steps=args.max_steps))
 
@@ -491,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one phase's agent pair")
     _add_shared(p)
     p.add_argument("--phase", type=int, required=True)
+    p.add_argument("--window", type=int, default=5, help="search window length L (odd)")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--labels-dir", required=True)
     p.add_argument("--checkpoints-dir", required=True)

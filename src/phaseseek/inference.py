@@ -24,6 +24,7 @@ from .training import (
     ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
+    SearchPolicy,
     apply_action,
     build_state,
     window_indices,
@@ -65,10 +66,7 @@ class PredictionInit:
     predict: Callable[[FeatureSequence], np.ndarray]
     fallback: FixedInit | None = None
 
-    def initial_positions(
-        self, video: FeatureSequence, phase: int, fallback: FixedInit | None = None
-    ) -> tuple[int, int]:
-        fallback = fallback or self.fallback
+    def initial_positions(self, video: FeatureSequence, phase: int) -> tuple[int, int]:
         labels = np.asarray(self.predict(video), dtype=np.int64)
         if labels.shape != (video.num_clips,):
             raise PhaseseekError("prediction length does not match video")
@@ -79,17 +77,14 @@ class PredictionInit:
         begin_candidates = np.flatnonzero(is_phase & ~prev)
         end_candidates = np.flatnonzero(is_phase & ~nxt)
 
-        if (not len(begin_candidates) or not len(end_candidates)) and fallback is None:
+        if (not len(begin_candidates) or not len(end_candidates)) and self.fallback is None:
             raise PhaseseekError(f"no predicted clips of phase {phase} and no fallback")
-        fb = fallback.initial_positions(video, phase) if fallback is not None else None
+        fb = self.fallback.initial_positions(video, phase) if self.fallback is not None else None
         p_b = _round_half_up(float(begin_candidates.mean())) if len(begin_candidates) else fb[0]
         p_e = _round_half_up(float(end_candidates.mean())) if len(end_candidates) else fb[1]
         p_b = min(max(p_b, 0), t - 1)
         p_e = min(max(p_e, 0), t - 1)
         return min(p_b, p_e), max(p_b, p_e)
-
-
-Initializer = FixedInit | PredictionInit
 
 
 def fit_fi(training: list[tuple[int, TransitionSet]], phase: int) -> FixedInit:
@@ -108,18 +103,6 @@ def fit_fi(training: list[tuple[int, TransitionSet]], phase: int) -> FixedInit:
     if not rel_b:
         raise PhaseseekError(f"phase {phase} absent from every training video")
     return FixedInit(float(np.mean(rel_b)), float(np.mean(rel_e)))
-
-
-def init_positions(
-    init: Initializer,
-    video: FeatureSequence,
-    phase: int,
-    fallback: FixedInit | None = None,
-) -> tuple[int, int]:
-    """Initial (begin, end) window positions for one video and phase."""
-    if isinstance(init, PredictionInit):
-        return init.initial_positions(video, phase, fallback)
-    return init.initial_positions(video, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +165,6 @@ def train_clip_classifier(
 # ---------------------------------------------------------------------------
 # Rollout
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchPolicy:
-    """A phase's frozen begin/end networks and their window length.
-
-    Rollouts read only these three attributes, so the trainer's
-    ``AgentPair`` can be passed wherever a policy is expected.
-    """
-
-    begin_net: QNetwork
-    end_net: QNetwork
-    window_len: int
-
 
 @dataclass
 class RolloutResult:
@@ -285,7 +255,7 @@ class _Search:
 
     def observe(self) -> None:
         self.state = build_state(self.video, self.begin.pos, self.end.pos,
-                                 self.policy.window_len).rows
+                                 self.policy.window_len)
 
     def move(self, role: str, action: int) -> None:
         agent, partner = (self.begin, self.end) if role == ROLE_BEGIN else (self.end, self.begin)

@@ -34,29 +34,6 @@ _CKPT_HEADER = struct.Struct("<4sIIIIII")  # magic, version, D, H, M, fc1, actio
 
 
 @dataclass
-class StateTensor:
-    """Observation for one step: the stacked contents of both search windows.
-
-    ``rows`` holds 2L feature vectors (begin-window clips then end-window
-    clips, temporal order within each); window positions outside the video
-    contribute zero rows, marked in ``padded``.
-    """
-
-    rows: np.ndarray
-    padded: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.padded = np.asarray(self.padded, dtype=bool)
-        if self.rows.ndim != 2:
-            raise ValueError("rows must be a (2L, D) matrix")
-        if self.padded.shape != (self.rows.shape[0],):
-            raise ValueError("padded must flag each row")
-        if not np.isfinite(self.rows).all():
-            raise ValueError("state rows must be finite")
-
-
-@dataclass
 class LstmLayer:
     """One layer's parameters: input, recurrent, and bias blocks."""
 
@@ -261,11 +238,9 @@ def forward_batch(
     return (q[0] if squeezed else q), cache
 
 
-def forward(net: QNetwork, state: StateTensor | np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Single-state forward pass; returns (q-values, activation cache)."""
-    rows = state.rows if isinstance(state, StateTensor) else state
-    q, cache = forward_batch(net, rows, need_cache=True)
-    return q, cache
+def forward(net: QNetwork, state: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Single-state forward pass on a ``(2L, D)`` state; returns (q-values, activation cache)."""
+    return forward_batch(net, state, need_cache=True)
 
 
 def backward_batch(

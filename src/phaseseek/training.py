@@ -26,7 +26,6 @@ from .features import FeatureSequence, TransitionSet
 from .nets import (
     AdamState,
     QNetwork,
-    StateTensor,
     adam_init,
     adam_step,
     backward_batch,
@@ -44,22 +43,6 @@ ACTION_RIGHT = 0
 ACTION_LEFT = 1
 ROLE_BEGIN = "begin"
 ROLE_END = "end"
-
-
-@dataclass
-class ExperienceRecord:
-    """One transition: shared state, successor state, the agent's action and reward."""
-
-    state: StateTensor
-    next_state: StateTensor
-    action: int
-    reward: int
-
-    def __post_init__(self):
-        if self.action not in (ACTION_RIGHT, ACTION_LEFT):
-            raise ValueError(f"unknown action {self.action}")
-        if self.reward not in (1, -1):
-            raise ValueError(f"reward must be +1 or -1, got {self.reward}")
 
 
 class ReplayMemory:
@@ -83,15 +66,19 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, record: ExperienceRecord) -> None:
-        rows = record.state.rows
+    def push(self, state: np.ndarray, next_state: np.ndarray, action: int, reward: int) -> None:
+        """Store one transition: shared state, successor state, the agent's action and reward."""
+        if action not in (ACTION_RIGHT, ACTION_LEFT):
+            raise ValueError(f"unknown action {action}")
+        if reward not in (1, -1):
+            raise ValueError(f"reward must be +1 or -1, got {reward}")
         if self._states is None:
-            self._states = np.empty((self.capacity,) + rows.shape)
+            self._states = np.empty((self.capacity,) + np.shape(state))
             self._next_states = np.empty_like(self._states)
-        self._states[self._head] = rows
-        self._next_states[self._head] = record.next_state.rows
-        self._actions[self._head] = record.action
-        self._rewards[self._head] = record.reward
+        self._states[self._head] = state
+        self._next_states[self._head] = next_state
+        self._actions[self._head] = action
+        self._rewards[self._head] = reward
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -144,38 +131,16 @@ class TrainConfig:
         return max(self.eps_min, self.eps_start * self.eps_decay ** episode)
 
 
-@dataclass
-class AgentPair:
-    """Begin/end networks with their targets, optimizers and replay memories."""
+@dataclass(frozen=True)
+class SearchPolicy:
+    """A phase's frozen begin/end networks and their window length.
+
+    ``train`` returns one; rollouts read only these three attributes.
+    """
 
     begin_net: QNetwork
     end_net: QNetwork
-    begin_target: QNetwork
-    end_target: QNetwork
-    begin_adam: AdamState
-    end_adam: AdamState
-    begin_memory: ReplayMemory
-    end_memory: ReplayMemory
     window_len: int
-    begin_updates: int = 0
-    end_updates: int = 0
-
-
-def create_agent_pair(input_dim: int, cfg: TrainConfig) -> AgentPair:
-    seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
-    begin = init_qnetwork(input_dim, cfg.hidden_dim, cfg.num_layers, seed=int(seeds[0]))
-    end = init_qnetwork(input_dim, cfg.hidden_dim, cfg.num_layers, seed=int(seeds[1]))
-    return AgentPair(
-        begin_net=begin,
-        end_net=end,
-        begin_target=clone_params(begin),
-        end_target=clone_params(end),
-        begin_adam=adam_init(param_list(begin), lr=cfg.lr),
-        end_adam=adam_init(param_list(end), lr=cfg.lr),
-        begin_memory=ReplayMemory(cfg.memory_capacity),
-        end_memory=ReplayMemory(cfg.memory_capacity),
-        window_len=cfg.window_len,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +156,11 @@ def window_indices(center: int, window_len: int, num_clips: int) -> tuple[np.nda
 
 def build_state(
     seq: FeatureSequence, pos_begin: int, pos_end: int, window_len: int
-) -> StateTensor:
-    """Stack both windows' clip features (begin window first) into one state.
+) -> np.ndarray:
+    """Stack both windows' clip features (begin window first) into one
+    ``(2L, D)`` state.
 
-    Window positions outside the video contribute zero rows, flagged in the
-    returned tensor.
+    Window positions outside the video contribute zero rows.
     """
     if pos_begin > pos_end:
         raise PhaseseekError(f"window order violated: begin {pos_begin} > end {pos_end}")
@@ -206,7 +171,7 @@ def build_state(
     ok = np.concatenate((ok_b, ok_e))
     rows = np.zeros((2 * window_len, seq.dim))
     rows[ok] = seq.features[idx[ok]]
-    return StateTensor(rows, padded=~ok)
+    return rows
 
 
 def apply_action(pos: int, action: int, num_clips: int, partner: int, role: str) -> int:
@@ -230,12 +195,12 @@ def compute_reward(old_center: int, new_center: int, gt: int) -> int:
 
 
 def select_action(
-    net: QNetwork, state: StateTensor, epsilon: float, rng: np.random.Generator | None
+    net: QNetwork, state: np.ndarray, epsilon: float, rng: np.random.Generator | None
 ) -> int:
-    """Epsilon-greedy action; greedy ties resolve to Right."""
+    """Epsilon-greedy action on a ``(2L, D)`` state; greedy ties resolve to Right."""
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(2))
-    q, _ = forward_batch(net, state.rows, need_cache=False)
+    q, _ = forward_batch(net, state, need_cache=False)
     return ACTION_RIGHT if q[ACTION_RIGHT] >= q[ACTION_LEFT] else ACTION_LEFT
 
 
@@ -291,18 +256,23 @@ class TrainVideoLog:
 
 @dataclass
 class _AgentSlot:
-    # Internal view of one agent's mutable training pieces.
+    # One agent's mutable training state: network, target, optimizer, memory.
     net: QNetwork
     target: QNetwork
     adam: AdamState
     memory: ReplayMemory
-    role: str
     gt: int = 0
     updates: int = 0
     loss_sum: float = 0.0
     loss_count: int = 0
     pos: int = 0
     scratch: dict = field(default_factory=dict)
+
+    @classmethod
+    def fresh(cls, input_dim: int, cfg: TrainConfig, seed: int) -> _AgentSlot:
+        net = init_qnetwork(input_dim, cfg.hidden_dim, cfg.num_layers, seed=seed)
+        return cls(net, clone_params(net), adam_init(param_list(net), lr=cfg.lr),
+                   ReplayMemory(cfg.memory_capacity))
 
 
 def train(
@@ -311,19 +281,21 @@ def train(
     cfg: TrainConfig,
     init,
     on_video=None,
-) -> AgentPair:
-    """Train one phase's agent pair over the dataset.
+) -> SearchPolicy:
+    """Train one phase's agent pair over the dataset; return its frozen policy.
 
     Runs ``episodes_max`` episodes; within an episode every usable video is
     played for exactly ``max_steps_per_video`` steps (no early stopping).
     Every step, both agents act epsilon-greedily on the shared state, store
     one experience each, and receive one Bellman update each (skipped while
     a memory holds fewer than ``batch`` records).  Videos that do not
-    contain ``phase`` are skipped with a warning.  ``init`` provides the
-    initial window positions per video (see the inference module); its
-    ``initial_positions(video, phase)`` hook is used exactly as at
-    inference time.  ``on_video`` receives a :class:`TrainVideoLog` after
-    each video.  Deterministic for a fixed (dataset, cfg, init).
+    contain ``phase`` are skipped with a warning; a run whose memories never
+    reached ``batch`` records, so no update ran, also logs a warning.
+    ``init`` provides the initial window positions per video (see the
+    inference module); its ``initial_positions(video, phase)`` hook is used
+    exactly as at inference time.  ``on_video`` receives a
+    :class:`TrainVideoLog` after each video.  Deterministic for a fixed
+    (dataset, cfg, init).
     """
     if not dataset:
         raise PhaseseekError("empty training dataset")
@@ -337,16 +309,10 @@ def train(
     if not usable:
         raise PhaseseekError(f"phase {phase} absent from every training video")
 
-    from .inference import init_positions  # deferred: inference builds on this module
-
     rng = np.random.default_rng(cfg.seed)
-    agents = create_agent_pair(usable[0][1].dim, cfg)
-    starts = [init_positions(init, seq, phase) for _, seq, _ in usable]
-
-    begin = _AgentSlot(agents.begin_net, agents.begin_target, agents.begin_adam,
-                       agents.begin_memory, ROLE_BEGIN)
-    end = _AgentSlot(agents.end_net, agents.end_target, agents.end_adam,
-                     agents.end_memory, ROLE_END)
+    seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
+    begin, end = (_AgentSlot.fresh(usable[0][1].dim, cfg, int(s)) for s in seeds)
+    starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
 
     for episode in range(cfg.episodes_max):
         eps = cfg.epsilon_at(episode)
@@ -365,7 +331,7 @@ def train(
                 next_state = build_state(seq, new_b, new_e, cfg.window_len)
                 for slot, action, new_pos in ((begin, act_b, new_b), (end, act_e, new_e)):
                     reward = compute_reward(slot.pos, new_pos, slot.gt)
-                    slot.memory.push(ExperienceRecord(state, next_state, action, reward))
+                    slot.memory.push(state, next_state, action, reward)
                     loss = dqn_update(slot.net, slot.target, slot.memory,
                                       cfg.batch, cfg.gamma, slot.adam, rng,
                                       scratch=slot.scratch)
@@ -387,6 +353,10 @@ def train(
                     end_error=abs(end.pos - gt_e),
                 ))
 
-    agents.begin_updates = begin.updates
-    agents.end_updates = end.updates
-    return agents
+    if begin.updates == 0:
+        # Both agents push and update in step, so one check covers the pair.
+        pushed = cfg.episodes_max * len(usable) * cfg.max_steps_per_video
+        logger.warning("phase %d: no Bellman update ran: %d record(s) pushed per agent, "
+                       "memory holds %d, batch needs %d", phase, pushed,
+                       len(begin.memory), cfg.batch)
+    return SearchPolicy(begin.net, end.net, cfg.window_len)

@@ -5,6 +5,7 @@ fixture (synthetic corpus, three trained agent pairs, both inference modes)
 is shared by the criteria that score the held-out videos.
 """
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ from phaseseek.features import (
 from phaseseek.inference import (
     PredictionInit,
     fit_fi,
-    init_positions,
     rollout,
     train_clip_classifier,
 )
@@ -54,6 +54,16 @@ class Pipeline:
     fi_coverage: list
     rmi_coverage: list
     train_seconds: float
+    train_warnings: list  # messages phaseseek.training logged while training
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +76,21 @@ def pipeline():
     train_ts = [(seq, ts) for seq, _, ts in train_videos]
 
     fis, pairs = {}, {}
+    warnings = _Messages()
+    logging.getLogger("phaseseek.training").addHandler(warnings)
     t0 = time.time()
-    for phase in range(NUM_PHASES):
-        fis[phase] = fit_fi([(seq.num_clips, ts) for seq, ts in train_ts], phase)
-        tc = TrainConfig(episodes_max=1, batch=128, lr=3e-4, gamma=0.0,
-                         eps_start=0.5, eps_min=0.05, eps_decay=0.995,
-                         target_sync_period=100, seed=100 + phase,
-                         window_len=5, hidden_dim=64, num_layers=2)
-        pairs[phase] = train(train_ts, phase, tc, fis[phase])
-        print(f"[acceptance] trained phase {phase} pair "
-              f"({time.time() - t0:.0f}s elapsed)")
+    try:
+        for phase in range(NUM_PHASES):
+            fis[phase] = fit_fi([(seq.num_clips, ts) for seq, ts in train_ts], phase)
+            tc = TrainConfig(episodes_max=1, batch=128, lr=3e-4, gamma=0.0,
+                             eps_start=0.5, eps_min=0.05, eps_decay=0.995,
+                             target_sync_period=100, seed=100 + phase,
+                             window_len=5, hidden_dim=64, num_layers=2)
+            pairs[phase] = train(train_ts, phase, tc, fis[phase])
+            print(f"[acceptance] trained phase {phase} pair "
+                  f"({time.time() - t0:.0f}s elapsed)")
+    finally:
+        logging.getLogger("phaseseek.training").removeHandler(warnings)
     train_seconds = time.time() - t0
 
     classifier = train_clip_classifier(
@@ -89,7 +104,7 @@ def pipeline():
     for seq, lab, ts in test_videos:
         by_phase, visited = {}, []
         for phase in range(NUM_PHASES):
-            start = init_positions(fis[phase], seq, phase)
+            start = fis[phase].initial_positions(seq, phase)
             result = rollout(pairs[phase], seq, start)
             by_phase[phase] = result
             visited.append(result.visited)
@@ -100,9 +115,9 @@ def pipeline():
         fi_composed.append(gaussian_compose(predicted, seq.num_clips))
 
         rmi_by_phase = {}
-        rmi_init = PredictionInit(classifier.predict)
         for phase in range(NUM_PHASES):
-            start = init_positions(rmi_init, seq, phase, fallback=fis[phase])
+            rmi_init = PredictionInit(classifier.predict, fallback=fis[phase])
+            start = rmi_init.initial_positions(seq, phase)
             rmi_by_phase[phase] = rollout(pairs[phase], seq, start)
         rmi_results.append(rmi_by_phase)
         # producing per-clip predictions reads the entire video
@@ -110,7 +125,7 @@ def pipeline():
 
     return Pipeline(train_videos, test_videos, fis, pairs, fi_results,
                     rmi_results, fi_composed, fi_coverage, rmi_coverage,
-                    train_seconds)
+                    train_seconds, warnings.messages)
 
 
 class TestCriterion1SyntheticConvergence:
@@ -256,7 +271,7 @@ class TestCriterion7Determinism:
                          "--checkpoints-dir", str(ckpt), "--seed", "99",
                          "--window", "3", "--episodes", "1", "--max-steps", "30",
                          "--batch", "16", "--hidden", "8", "--layers", "1"]) == 0
-            assert main(["infer", "--phases", "2", "--window", "3",
+            assert main(["infer", "--phases", "2",
                          "--features-dir", str(data),
                          "--checkpoints-dir", str(ckpt),
                          "--out-dir", str(pred), "--init", "fi",
@@ -285,3 +300,10 @@ class TestCriterion8SinglePhase:
         coverage = float(np.mean(coverages))
         _check("8 single-phase mode", coverage <= 0.30 and f1 >= 0.85,
                f"coverage {coverage:.3f} (<=0.30), binary F1 {f1:.3f} (>=0.85)")
+
+
+class TestAcceptanceTrainingUpdates:
+    def test_acceptance_config_does_not_warn(self, pipeline):
+        zero_update = [m for m in pipeline.train_warnings if "no Bellman update" in m]
+        _check("training runs Bellman updates", not zero_update,
+               f"{len(zero_update)} zero-update warning(s) over {NUM_PHASES} phases")

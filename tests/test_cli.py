@@ -6,6 +6,7 @@ import pytest
 
 from phaseseek.cli import main
 from phaseseek.features import load_labels
+from phaseseek.inference import LinearClipClassifier
 
 TINY_TRAIN = [
     "--window", "3", "--episodes", "1", "--max-steps", "20", "--batch", "16",
@@ -102,7 +103,7 @@ class TestInfer:
     def test_fixed_init_partial_coverage(self, workspace):
         out = workspace / "pred_fi"
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(workspace / "data"),
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(out), "--init", "fi",
@@ -118,7 +119,7 @@ class TestInfer:
     def test_rmi_reads_everything(self, workspace):
         out = workspace / "pred_rmi"
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(workspace / "data"),
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(out), "--init", "rmi",
@@ -127,6 +128,26 @@ class TestInfer:
         ]) == 0
         payload = json.loads((out / "video_000.transitions.json").read_text())
         assert payload["coverage"] == 1.0
+
+    def test_rmi_classifies_each_video_once(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        predict = LinearClipClassifier.predict
+
+        def counting(self, features):
+            calls.append(features)
+            return predict(self, features)
+
+        monkeypatch.setattr(LinearClipClassifier, "predict", counting)
+        out = tmp_path / "pred"
+        assert main([
+            "infer", "--phases", "2",
+            "--features-dir", str(workspace / "data"),
+            "--checkpoints-dir", str(workspace / "ckpt"),
+            "--out-dir", str(out), "--init", "rmi",
+            "--train-features-dir", str(workspace / "data"),
+            "--train-labels-dir", str(workspace / "data"),
+        ]) == 0
+        assert len(calls) == len(list((workspace / "data").glob("*.trnf"))) == 4
 
     def test_rmi_without_training_split_is_usage_error(self, workspace):
         assert main([
@@ -139,7 +160,7 @@ class TestInfer:
     def test_rmi_accepts_external_prediction_csvs(self, workspace):
         out = workspace / "pred_rmi_ext"
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(workspace / "data"),
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(out), "--init", "rmi",
@@ -151,7 +172,7 @@ class TestInfer:
     def test_single_phase_mode_emits_binary_labels(self, workspace):
         out = workspace / "pred_single"
         assert main([
-            "infer", "--phases", "2", "--phase", "1", "--window", "3",
+            "infer", "--phases", "2", "--phase", "1",
             "--features-dir", str(workspace / "data"),
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(out), "--init", "fi",
@@ -176,7 +197,7 @@ class TestInfer:
         for trnf in (workspace / "data").glob("*.trnf"):
             (bare / trnf.name).write_bytes(trnf.read_bytes())
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(bare),
             "--checkpoints-dir", str(workspace / "ckpt"),
             "--out-dir", str(tmp_path / "pred"), "--init", "fi",
@@ -211,7 +232,7 @@ class TestInferMetaValidation:
             meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
         out = tmp_path / "out"
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(workspace / "data"),
             "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
         ]) == 2
@@ -227,7 +248,7 @@ class TestInferMetaValidation:
         shutil.copy(odd / "video_000.trnf", mixed / "video_999.trnf")
         out = tmp_path / "out"
         assert main([
-            "infer", "--phases", "2", "--window", "3",
+            "infer", "--phases", "2",
             "--features-dir", str(mixed),
             "--checkpoints-dir", str(workspace / "ckpt"), "--out-dir", str(out),
         ]) == 2
@@ -302,7 +323,8 @@ class TestRibbon:
 class TestConfigFile:
     def test_config_seeds_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("count=2\nphases=2\ndim=6\nmin_len=12\nmax_len=16\nseed=5\n")
+        # window is a train flag; a shared config file may still set it
+        cfg.write_text("count=2\nphases=2\ndim=6\nmin_len=12\nmax_len=16\nseed=5\nwindow=3\n")
         out_a = tmp_path / "a"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(out_a)]) == 0
         assert len(list(out_a.glob("*.trnf"))) == 2
@@ -327,5 +349,18 @@ class TestUsage:
         assert main(["frobnicate"]) == 1
 
     def test_even_window_rejected(self, tmp_path):
-        assert main(["synth", "--out-dir", str(tmp_path), "--count", "0",
-                     "--window", "4"]) == 1
+        _synth(tmp_path / "data", count=1)
+        assert main(["train", "--phase", "0", "--phases", "2",
+                     "--features-dir", str(tmp_path / "data"),
+                     "--labels-dir", str(tmp_path / "data"),
+                     "--checkpoints-dir", str(tmp_path / "ckpt"), "--window", "4"]) == 1
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out-dir", "x", "--count", "0"],
+        ["infer", "--features-dir", "x", "--checkpoints-dir", "x", "--out-dir", "x"],
+        ["eval", "--pred-dir", "x", "--gt-dir", "x", "--report", "x"],
+    ], ids=["synth", "infer", "eval"])
+    def test_window_is_a_train_flag_only(self, argv, capsys):
+        assert main(argv + ["--window", "3"]) == 1
+        assert "unrecognized arguments: --window 3" in capsys.readouterr().err

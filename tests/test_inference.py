@@ -13,7 +13,6 @@ from phaseseek.inference import (
     coverage_rate,
     fit_fi,
     greedy_actions,
-    init_positions,
     rollout,
     rollout_many,
     train_clip_classifier,
@@ -24,10 +23,8 @@ from phaseseek.training import (
     ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
-    TrainConfig,
     apply_action,
     build_state,
-    create_agent_pair,
     window_indices,
 )
 
@@ -67,36 +64,36 @@ def _video(t=100, dim=2):
 
 class TestInitPositions:
     def test_fixed_round(self):
-        assert init_positions(FixedInit(0.3, 0.6), _video(100), 0) == (30, 60)
+        assert FixedInit(0.3, 0.6).initial_positions(_video(100), 0) == (30, 60)
 
     def test_fixed_rounds_half_up_and_clamps(self):
-        assert init_positions(FixedInit(0.35, 0.99), _video(10), 0) == (4, 9)
-        assert init_positions(FixedInit(1.0, 1.0), _video(10), 0) == (9, 9)
+        assert FixedInit(0.35, 0.99).initial_positions(_video(10), 0) == (4, 9)
+        assert FixedInit(1.0, 1.0).initial_positions(_video(10), 0) == (9, 9)
 
     def test_fixed_identical_for_equal_length_videos(self):
         fi = FixedInit(0.21, 0.68)
-        a = init_positions(fi, _video(137), 0)
-        b = init_positions(fi, FeatureSequence(np.ones((137, 5))), 0)
+        a = fi.initial_positions(_video(137), 0)
+        b = fi.initial_positions(FeatureSequence(np.ones((137, 5))), 0)
         assert a == b
 
     def test_prediction_candidate_means(self):
         predictions = np.array([0, 1, 1, 0, 1, 1, 0])
-        init = PredictionInit(lambda video: predictions)
-        assert init_positions(init, _video(7), 1, fallback=FixedInit(0.0, 1.0)) == (3, 4)
+        init = PredictionInit(lambda video: predictions, fallback=FixedInit(0.0, 1.0))
+        assert init.initial_positions(_video(7), 1) == (3, 4)
 
     def test_prediction_without_phase_falls_back(self):
-        init = PredictionInit(lambda video: np.zeros(10, dtype=int))
-        assert init_positions(init, _video(10), 1, fallback=FixedInit(0.2, 0.5)) == (2, 5)
+        init = PredictionInit(lambda video: np.zeros(10, dtype=int), fallback=FixedInit(0.2, 0.5))
+        assert init.initial_positions(_video(10), 1) == (2, 5)
 
     def test_prediction_carries_own_fallback(self):
         init = PredictionInit(lambda video: np.zeros(10, dtype=int),
                               fallback=FixedInit(0.1, 0.4))
-        assert init_positions(init, _video(10), 1) == (1, 4)
+        assert init.initial_positions(_video(10), 1) == (1, 4)
 
     def test_prediction_without_any_fallback_rejected(self):
         init = PredictionInit(lambda video: np.zeros(10, dtype=int))
         with pytest.raises(PhaseseekError):
-            init_positions(init, _video(10), 1)
+            init.initial_positions(_video(10), 1)
 
 
 class TestClipClassifier:
@@ -148,8 +145,7 @@ class TestClipClassifier:
 
 
 def _pair(dim=1, window=1):
-    cfg = TrainConfig(window_len=window, hidden_dim=4, num_layers=1, seed=0)
-    return create_agent_pair(dim, cfg)
+    return SearchPolicy(init_qnetwork(dim, 4, 1, seed=0), init_qnetwork(dim, 4, 1, seed=1), window)
 
 
 def _scripted_actions(pair, begin_rule, end_rule, monkeypatch):
@@ -242,7 +238,7 @@ def _reference_rollout(policy, video, init_pos, max_steps):
         visited.update(int(i) for i in idx[ok])
 
     def state():
-        return build_state(video, begin.pos, end.pos, policy.window_len).rows[None]
+        return build_state(video, begin.pos, end.pos, policy.window_len)[None]
 
     visit(begin.pos)
     visit(end.pos)

@@ -8,7 +8,6 @@ from phaseseek.nets import (
     FC1_UNITS,
     LstmLayer,
     QNetwork,
-    StateTensor,
     adam_init,
     adam_step,
     backward,
@@ -95,14 +94,6 @@ class TestForward:
 
         q, _ = forward(net, np.array([[0.7], [-1.2]]))
         np.testing.assert_allclose(q, expected, rtol=1e-12)
-
-    def test_state_tensor_accepted(self):
-        net = init_qnetwork(3, 4, 1, seed=0)
-        rows = np.random.default_rng(2).normal(size=(4, 3))
-        state = StateTensor(rows, padded=np.zeros(4, dtype=bool))
-        q1, _ = forward(net, state)
-        q2, _ = forward(net, rows)
-        np.testing.assert_array_equal(q1, q2)
 
     def test_recompute_yields_identical_qvalues(self):
         net = init_qnetwork(4, 6, 2, seed=3)

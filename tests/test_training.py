@@ -4,34 +4,43 @@ import pytest
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import FeatureSequence, SynthConfig, TransitionSet, labels_to_transitions, synth_dataset
 from phaseseek.inference import FixedInit
-from phaseseek.nets import StateTensor, forward, param_list, zero_qnetwork
+from phaseseek.nets import (
+    adam_init,
+    clone_params,
+    forward,
+    init_qnetwork,
+    param_list,
+    zero_qnetwork,
+)
 from phaseseek.training import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
-    ExperienceRecord,
     ReplayMemory,
+    SearchPolicy,
     TrainConfig,
     apply_action,
     build_state,
     compute_reward,
-    create_agent_pair,
     dqn_update,
     select_action,
     train,
 )
 
 
-def _state(rows):
-    rows = np.asarray(rows, dtype=float)
-    return StateTensor(rows, padded=np.zeros(rows.shape[0], dtype=bool))
-
-
 def _record(rng, dim=3, action=ACTION_RIGHT, reward=1, window=2):
-    s = _state(rng.normal(size=(2 * window, dim)))
-    s2 = _state(rng.normal(size=(2 * window, dim)))
-    return ExperienceRecord(s, s2, action, reward)
+    # (state, next_state, action, reward), the arguments of ReplayMemory.push
+    s = rng.normal(size=(2 * window, dim))
+    s2 = rng.normal(size=(2 * window, dim))
+    return s, s2, action, reward
+
+
+def _agent(dim, cfg):
+    # A fresh online network with its target, Adam state and replay memory.
+    net = init_qnetwork(dim, cfg.hidden_dim, cfg.num_layers, seed=cfg.seed)
+    return net, clone_params(net), adam_init(param_list(net), lr=cfg.lr), \
+        ReplayMemory(cfg.memory_capacity)
 
 
 def _net_with_head_bias(q_right, q_left, dim=3):
@@ -45,19 +54,19 @@ class TestBuildState:
         feats = np.arange(10.0)[:, None] * np.ones(2)
         seq = FeatureSequence(feats)
         state = build_state(seq, 1, 8, window_len=3)
-        np.testing.assert_array_equal(state.rows[:, 0], [0, 1, 2, 7, 8, 9])
-        assert not state.padded.any()
+        assert state.shape == (6, 2)
+        np.testing.assert_array_equal(state[:, 0], [0, 1, 2, 7, 8, 9])
 
     def test_zero_padding_at_left_edge(self):
         seq = FeatureSequence(np.ones((10, 2)))
         state = build_state(seq, 0, 8, window_len=3)
-        np.testing.assert_array_equal(state.rows[0], [0, 0])
-        assert state.padded[0] and not state.padded[1:].any()
+        np.testing.assert_array_equal(state[0], [0, 0])
+        np.testing.assert_array_equal(state[1:], np.ones((5, 2)))
 
     def test_degenerate_window(self):
         feats = np.arange(5.0)[:, None]
         state = build_state(FeatureSequence(feats), 2, 4, window_len=1)
-        np.testing.assert_array_equal(state.rows, [[2.0], [4.0]])
+        np.testing.assert_array_equal(state, [[2.0], [4.0]])
 
     def test_order_violation_rejected(self):
         with pytest.raises(PhaseseekError):
@@ -108,20 +117,20 @@ class TestSelectAction:
     def test_pure_exploration_is_uniform(self):
         rng = np.random.default_rng(123)
         net = _net_with_head_bias(5.0, 0.0)  # would always pick Right greedily
-        state = _state(np.zeros((4, 3)))
+        state = np.zeros((4, 3))
         draws = [select_action(net, state, 1.0, rng) for _ in range(10_000)]
         freq = np.mean(np.array(draws) == ACTION_RIGHT)
         assert abs(freq - 0.5) < 0.02
 
     def test_greedy_argmax(self):
         net = _net_with_head_bias(2.0, 1.0)
-        assert select_action(net, _state(np.zeros((4, 3))), 0.0, None) == ACTION_RIGHT
+        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_RIGHT
         net = _net_with_head_bias(1.0, 2.0)
-        assert select_action(net, _state(np.zeros((4, 3))), 0.0, None) == ACTION_LEFT
+        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_LEFT
 
     def test_tie_breaks_right(self):
         net = _net_with_head_bias(1.0, 1.0)
-        assert select_action(net, _state(np.zeros((4, 3))), 0.0, None) == ACTION_RIGHT
+        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_RIGHT
 
 
 class TestReplayMemory:
@@ -130,40 +139,41 @@ class TestReplayMemory:
         mem = ReplayMemory(capacity=3)
         records = [_record(rng, reward=1 if i % 2 == 0 else -1) for i in range(5)]
         for r in records:
-            mem.push(r)
+            mem.push(*r)
         assert len(mem) == 3
         states, _, _, rewards = mem.sample(3, np.random.default_rng(0))
         # only the last three records remain
-        kept = {tuple(r.state.rows[0]) for r in records[2:]}
+        kept = {tuple(state[0]) for state, _, _, _ in records[2:]}
         got = {tuple(s[0]) for s in states}
         assert got == kept
 
     def test_sample_too_large_rejected(self):
         mem = ReplayMemory(capacity=5)
-        mem.push(_record(np.random.default_rng(2)))
+        mem.push(*_record(np.random.default_rng(2)))
         with pytest.raises(PhaseseekError):
             mem.sample(2, np.random.default_rng(0))
 
     def test_reward_validation(self):
         rng = np.random.default_rng(3)
+        mem = ReplayMemory(capacity=5)
         with pytest.raises(ValueError):
-            _record(rng, reward=0)
+            mem.push(*_record(rng, reward=0))
         with pytest.raises(ValueError):
-            _record(rng, action=7)
+            mem.push(*_record(rng, action=7))
+        assert len(mem) == 0
 
 
 class TestDqnUpdate:
     def test_no_update_when_memory_small(self):
         rng = np.random.default_rng(4)
         cfg = TrainConfig(window_len=3, hidden_dim=4, num_layers=1, batch=128)
-        pair = create_agent_pair(3, cfg)
+        net, target, adam, memory = _agent(3, cfg)
         for _ in range(10):
-            pair.begin_memory.push(_record(rng, window=3))
-        before = [p.copy() for p in param_list(pair.begin_net)]
-        loss = dqn_update(pair.begin_net, pair.begin_target, pair.begin_memory,
-                          128, 0.9, pair.begin_adam, rng)
+            memory.push(*_record(rng, window=3))
+        before = [p.copy() for p in param_list(net)]
+        loss = dqn_update(net, target, memory, 128, 0.9, adam, rng)
         assert loss is None
-        for a, b in zip(before, param_list(pair.begin_net)):
+        for a, b in zip(before, param_list(net)):
             np.testing.assert_array_equal(a, b)
 
     def test_zero_target_net_bellman_value(self):
@@ -171,29 +181,27 @@ class TestDqnUpdate:
         # target is exactly -1, so the batch loss is huber(0, -1) = 0.5.
         rng = np.random.default_rng(5)
         cfg = TrainConfig(window_len=2, hidden_dim=4, num_layers=1, batch=8, gamma=0.9)
-        pair = create_agent_pair(3, cfg)
-        for p in param_list(pair.begin_net):
+        net, target, adam, memory = _agent(3, cfg)
+        for p in param_list(net):
             p[...] = 0.0
-        for p in param_list(pair.begin_target):
+        for p in param_list(target):
             p[...] = 0.0
         for _ in range(8):
-            pair.begin_memory.push(_record(rng, reward=-1))
-        loss = dqn_update(pair.begin_net, pair.begin_target, pair.begin_memory,
-                          8, 0.9, pair.begin_adam, rng)
+            memory.push(*_record(rng, reward=-1))
+        loss = dqn_update(net, target, memory, 8, 0.9, adam, rng)
         assert loss == pytest.approx(0.5)
 
     def test_converges_to_reward_with_zero_gamma(self):
         rng = np.random.default_rng(6)
         cfg = TrainConfig(window_len=2, hidden_dim=4, num_layers=1, batch=8,
                           gamma=0.0, lr=1e-2)
-        pair = create_agent_pair(3, cfg)
+        net, target, adam, memory = _agent(3, cfg)
         record = _record(rng, action=ACTION_RIGHT, reward=1)
         for _ in range(8):
-            pair.begin_memory.push(record)
+            memory.push(*record)
         for _ in range(400):
-            loss = dqn_update(pair.begin_net, pair.begin_target, pair.begin_memory,
-                              8, 0.0, pair.begin_adam, rng)
-        q, _ = forward(pair.begin_net, record.state)
+            loss = dqn_update(net, target, memory, 8, 0.0, adam, rng)
+        q, _ = forward(net, record[0])
         assert q[ACTION_RIGHT] == pytest.approx(1.0, abs=0.05)
         assert loss < 1e-3
 
@@ -214,15 +222,34 @@ def _tiny_config(**kw):
     return TrainConfig(**base)
 
 
+@pytest.fixture
+def pushes(monkeypatch):
+    # Every ReplayMemory.push made during a test, as (memory, action, reward).
+    seen = []
+    push = ReplayMemory.push
+
+    def spy(memory, state, next_state, action, reward):
+        seen.append((memory, action, reward))
+        push(memory, state, next_state, action, reward)
+
+    monkeypatch.setattr(ReplayMemory, "push", spy)
+    return seen
+
+
 class TestTrain:
-    def test_zero_episodes_returns_fresh_pair(self):
+    def test_zero_episodes_returns_fresh_pair(self, pushes):
         dataset = _tiny_dataset()
         cfg = _tiny_config(episodes_max=0)
-        pair = train(dataset, 1, cfg, FixedInit(0.4, 0.9))
-        fresh = create_agent_pair(dataset[0][0].dim, cfg)
-        for a, b in zip(param_list(pair.begin_net), param_list(fresh.begin_net)):
-            np.testing.assert_array_equal(a, b)
-        assert len(pair.begin_memory) == 0
+        policy = train(dataset, 1, cfg, FixedInit(0.4, 0.9))
+        assert isinstance(policy, SearchPolicy)
+        assert policy.window_len == cfg.window_len
+        seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
+        for net, seed in ((policy.begin_net, seeds[0]), (policy.end_net, seeds[1])):
+            fresh = init_qnetwork(dataset[0][0].dim, cfg.hidden_dim, cfg.num_layers,
+                                  seed=int(seed))
+            for a, b in zip(param_list(net), param_list(fresh)):
+                np.testing.assert_array_equal(a, b)
+        assert pushes == []
 
     def test_deterministic_given_seed(self):
         dataset = _tiny_dataset()
@@ -234,13 +261,16 @@ class TestTrain:
         for a, b in zip(param_list(pair_a.end_net), param_list(pair_b.end_net)):
             np.testing.assert_array_equal(a, b)
 
-    def test_one_record_per_step_and_log_rows(self):
+    def test_one_record_per_step_and_log_rows(self, pushes):
         dataset = _tiny_dataset()
         cfg = _tiny_config(episodes_max=2)
         logs = []
-        pair = train(dataset, 1, cfg, FixedInit(0.4, 0.9), on_video=logs.append)
+        train(dataset, 1, cfg, FixedInit(0.4, 0.9), on_video=logs.append)
         steps = cfg.episodes_max * len(dataset) * cfg.max_steps_per_video
-        assert len(pair.begin_memory) == min(steps, cfg.memory_capacity)
+        memories = list(dict.fromkeys(memory for memory, _, _ in pushes))
+        assert len(memories) == 2
+        assert [memory for memory, _, _ in pushes] == memories * steps
+        assert len(memories[0]) == min(steps, cfg.memory_capacity)
         assert len(logs) == cfg.episodes_max * len(dataset)
         assert [(r.episode, r.video) for r in logs] == [
             (e, v) for e in range(2) for v in range(3)
@@ -267,8 +297,19 @@ class TestTrain:
         with pytest.raises(PhaseseekError):
             train([], 0, _tiny_config(), FixedInit(0.1, 0.2))
 
-    def test_rewards_in_memory_are_plus_minus_one(self):
+    def test_rewards_in_memory_are_plus_minus_one(self, pushes):
         dataset = _tiny_dataset()
-        pair = train(dataset, 1, _tiny_config(), FixedInit(0.4, 0.9))
-        n = len(pair.begin_memory)
-        assert set(np.unique(pair.begin_memory._rewards[:n])) <= {-1, 1}
+        train(dataset, 1, _tiny_config(), FixedInit(0.4, 0.9))
+        begin_memory = pushes[0][0]  # the begin agent pushes first each step
+        n = len(begin_memory)
+        assert n > 0
+        assert set(np.unique(begin_memory._rewards[:n])) <= {-1, 1}
+
+    def test_zero_updates_warn(self, caplog):
+        dataset = _tiny_dataset()
+        cfg = _tiny_config()
+        steps = cfg.episodes_max * len(dataset) * cfg.max_steps_per_video
+        with caplog.at_level("WARNING", logger="phaseseek.training"):
+            train(dataset, 1, _tiny_config(batch=steps + 1), FixedInit(0.4, 0.9))
+        assert caplog.messages == [f"phase 1: no Bellman update ran: {steps} record(s) pushed "
+                                   f"per agent, memory holds {steps}, batch needs {steps + 1}"]
