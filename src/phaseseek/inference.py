@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import NUM_ACTIONS, QNetwork, forward_batch
+from .nets import NUM_ACTIONS, NetworkStack, QNetwork, forward_stack, stack_networks
 from .training import (
     ACTION_LEFT,
     ACTION_RIGHT,
@@ -27,7 +27,6 @@ from .training import (
     SearchPolicy,
     apply_action,
     build_state,
-    window_indices,
 )
 
 
@@ -205,23 +204,70 @@ class _AgentTracker:
 # Batch geometry of every rollout forward pass.  OpenBLAS's x86-64 dgemm
 # rounds a product row differently when the row falls in a remainder
 # block of fewer than four rows (its micro-kernel height), and the 64x50
-# head product changes path again from about 1000 rows.  Blocks of at
-# most 256 states, padded with zero states to a multiple of four, keep
-# each state's Q-values bit-identical whatever other states share its
-# batch; tests/test_inference.py checks this on the host BLAS.
+# head product changes path again from about 1000 rows.  Padding each
+# network's states with zero states to a multiple of four rows, at most
+# 256, keeps each state's Q-values bit-identical whatever other states
+# (or networks) share its pass; tests/test_inference.py checks this on
+# the host BLAS.  A pass holds at most _MAX_ROWS rows summed over its
+# networks, which bounds the kernel's (N, 4, B, H) buffers to about
+# 0.5 MB at H=64.
 _ROW_MULTIPLE = 4
-_MAX_ROWS = 256
+_MAX_ROWS = 128
 
 
-def _q_values(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    # Q-values of a (B, 2L, D) batch, evaluated in padded blocks (see above).
-    q = np.empty((len(states), NUM_ACTIONS))
-    for lo in range(0, len(states), _MAX_ROWS):
-        block = states[lo: lo + _MAX_ROWS]
-        pad = np.zeros((-len(block) % _ROW_MULTIPLE,) + block.shape[1:])
-        q_block, _ = forward_batch(net, np.concatenate((block, pad)), need_cache=False)
-        q[lo: lo + len(block)] = q_block[: len(block)]
+class _StackGroup:
+    # Networks of one geometry that read states of one (2L, D) shape,
+    # evaluated together by forward_stack passes over their one stack.
+    def __init__(self, state_shape: tuple[int, ...]):
+        self.state_shape = state_shape
+        self.nets: list[QNetwork] = []
+        self._rows: dict[int, int] = {}
+        self.stack: NetworkStack | None = None
+
+    def row(self, net: QNetwork) -> int:
+        """Position of ``net`` in the stack, added on first sight."""
+        if id(net) not in self._rows:
+            self._rows[id(net)] = len(self.nets)
+            self.nets.append(net)
+        return self._rows[id(net)]
+
+    def freeze(self) -> _StackGroup:
+        self.stack = stack_networks(self.nets)
+        return self
+
+
+def _q_values(group: _StackGroup, states: list[list[np.ndarray]]) -> list[np.ndarray]:
+    # Q-values of each stacked network on its own list of states, in
+    # passes of padded blocks (see the block geometry above).  Only the
+    # stack rows from the first to the last network with states run: in a
+    # rollout a network without movers never gets them back, and the first
+    # and last networks (the first phase's begin agent and the last phase's
+    # end agent) typically settle first, at the video's ends.
+    q = [np.empty((len(rows), NUM_ACTIONS)) for rows in states]
+    busy = [i for i, rows in enumerate(states) if rows]
+    if not busy:
+        return q
+    width = min(max(map(len, states)), _MAX_ROWS)
+    width += -width % _ROW_MULTIPLE
+    per_pass, last = _MAX_ROWS // width, busy[-1] + 1
+    for first in range(busy[0], last, per_pass):
+        nets = range(first, min(first + per_pass, last))
+        stack = group.stack[nets.start: nets.stop]
+        for lo in range(0, max(len(states[i]) for i in nets), width):
+            x = np.zeros((len(nets), width) + group.state_shape)
+            blocks = [states[i][lo: lo + width] for i in nets]
+            for xi, block in zip(x, blocks):
+                if block:
+                    xi[: len(block)] = block
+            for i, block, qb in zip(nets, blocks, forward_stack(stack, x)):
+                q[i][lo: lo + len(block)] = qb[: len(block)]
     return q
+
+
+def _group_actions(group: _StackGroup, states: list[list[np.ndarray]]) -> list[np.ndarray]:
+    # Greedy actions of each stacked network on its own states; ties go Right.
+    return [np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
+            for q in _q_values(group, states)]
 
 
 def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
@@ -229,13 +275,26 @@ def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
 
     A state's action does not depend on which other states share its batch.
     """
-    q = _q_values(net, states)
-    return np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
+    states = np.asarray(states, dtype=np.float64)
+    group = _StackGroup(states.shape[1:])
+    group.row(net)
+    return _group_actions(group.freeze(), [list(states)])[0]
 
 
 class _Search:
-    # One (policy, video) search in flight inside rollout_many.
-    def __init__(self, policy: SearchPolicy, video: FeatureSequence, init_pos):
+    # One (policy, video) search in flight inside rollout_many.  ``groups``
+    # collects the call's stack groups, keyed by network geometry and
+    # window length; each agent's network gets a (group, row) slot there.
+    def __init__(self, policy: SearchPolicy, video: FeatureSequence, init_pos,
+                 groups: dict[tuple, _StackGroup]):
+        self.slots = {}
+        for role, net in ((ROLE_BEGIN, policy.begin_net), (ROLE_END, policy.end_net)):
+            if net.input_dim != video.dim:
+                raise PhaseseekError(f"video feature dim {video.dim} does not match "
+                                     f"network input dim {net.input_dim}")
+            key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
+            group = groups.setdefault(key, _StackGroup((2 * policy.window_len, video.dim)))
+            self.slots[role] = (group, group.row(net))
         t = video.num_clips
         p_b = min(max(init_pos[0], 0), t - 1)
         p_e = min(max(init_pos[1], 0), t - 1)
@@ -243,15 +302,17 @@ class _Search:
         self.video = video
         self.begin = _AgentTracker(min(p_b, p_e))
         self.end = _AgentTracker(max(p_b, p_e))
-        self.visited: set[int] = set()
+        self.clips_read = np.zeros(t, dtype=bool)
         self.steps = 0
         self.visit(self.begin.pos)
         self.visit(self.end.pos)
         self.observe()
 
     def visit(self, center: int) -> None:
-        idx, ok = window_indices(center, self.policy.window_len, self.video.num_clips)
-        self.visited.update(int(i) for i in idx[ok])
+        # Marks the clips of the window at ``center`` (as window_indices
+        # places it) that lie inside the video.
+        lo = center - self.policy.window_len // 2
+        self.clips_read[max(lo, 0): lo + self.policy.window_len] = True
 
     def observe(self) -> None:
         self.state = build_state(self.video, self.begin.pos, self.end.pos,
@@ -272,20 +333,23 @@ class _Search:
             begin=self.begin.pos,
             end=max(self.begin.pos, self.end.pos),
             steps_taken=self.steps,
-            visited=self.visited,
+            visited=set(np.flatnonzero(self.clips_read).tolist()),
             converged=self.settled,
         )
 
 
-def _decide(nets: list[QNetwork], states: list[np.ndarray]) -> np.ndarray:
-    # Greedy action per (network, state) pair, one batch per distinct
-    # network and state shape (policies may share a network across windows).
-    groups: dict[tuple, list[int]] = {}
-    for i, net in enumerate(nets):
-        groups.setdefault((id(net), states[i].shape), []).append(i)
-    actions = np.empty(len(nets), dtype=np.int64)
-    for rows in groups.values():
-        actions[rows] = greedy_actions(nets[rows[0]], np.stack([states[i] for i in rows]))
+def _decide(movers: list[tuple[_Search, str]]) -> np.ndarray:
+    # Greedy action per (search, role) mover: one _group_actions call per
+    # group with movers, each network on the states of its own movers.
+    queued: dict[int, tuple[_StackGroup, list[list[int]]]] = {}
+    for k, (s, role) in enumerate(movers):
+        group, row = s.slots[role]
+        queued.setdefault(id(group), (group, [[] for _ in group.nets]))[1][row].append(k)
+    actions = np.empty(len(movers), dtype=np.int64)
+    for group, rows in queued.values():
+        acts = _group_actions(group, [[movers[k][0].state for k in ks] for ks in rows])
+        for ks, a in zip(rows, acts):
+            actions[ks] = a
     return actions
 
 
@@ -295,9 +359,11 @@ def rollout_many(
 ) -> list[RolloutResult]:
     """Run every ``(policy, video, init_pos)`` search greedily, in lockstep.
 
-    Each round, every network with unsettled agents evaluates all of their
-    states in one batch.  Both agents of a search decide on the pre-move
-    state; begin moves first and end is clamped against begin's new
+    Each round, the networks of one geometry and window length evaluate
+    the states of all their unsettled agents together, in
+    :func:`~phaseseek.nets.forward_stack` passes of at most 128 state rows
+    (one pass per round unless more rows wait).  Both agents of a search
+    decide on the pre-move state; begin moves first and end is clamped against begin's new
     position.  A settled agent stops moving but its window still feeds the
     shared state.  A search leaves the batch once both agents settle or
     after ``max_steps`` rounds; then ``converged`` is False and the current
@@ -305,16 +371,17 @@ def rollout_many(
     added to that search's ``visited``.  Results come back in input order
     and equal those of rolling out each search alone.
     """
-    runs = [_Search(policy, video, init_pos) for policy, video, init_pos in searches]
+    groups: dict[tuple, _StackGroup] = {}
+    runs = [_Search(policy, video, init_pos, groups) for policy, video, init_pos in searches]
+    for group in groups.values():
+        group.freeze()
     active = runs
     while active := [s for s in active if s.steps < max_steps and not s.settled]:
         # All begin moves precede all end moves, so within one search end
         # is clamped against begin's new position.
         movers = [(s, ROLE_BEGIN) for s in active if not s.begin.settled]
         movers += [(s, ROLE_END) for s in active if not s.end.settled]
-        nets = [s.policy.begin_net if role == ROLE_BEGIN else s.policy.end_net
-                for s, role in movers]
-        actions = _decide(nets, [s.state for s, _ in movers])
+        actions = _decide(movers)
         for (s, role), action in zip(movers, actions):
             s.move(role, action)
         for s in active:

@@ -13,6 +13,11 @@ layout so each time slice is contiguous; ``backward`` replays the stack in
 reverse (through every step and layer) and returns gradients shaped exactly
 like :func:`param_list`.  Training code is the single writer of a network's
 arrays; frozen networks are safe to share across threads.
+
+For inference, :func:`stack_networks` copies frozen networks of one
+geometry into a :class:`NetworkStack`, and :func:`forward_stack` evaluates
+all of them in one step-major pass whose Q-values equal ``forward_batch``'s
+bit for bit.
 """
 
 from __future__ import annotations
@@ -243,6 +248,124 @@ def forward(net: QNetwork, state: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     return forward_batch(net, state, need_cache=True)
 
 
+@dataclass(frozen=True)
+class NetworkStack:
+    """Frozen copies of N networks of one geometry, laid out for inference.
+
+    Each entry of ``layers`` holds one layer of every network in gate-major
+    blocks: ``w_in`` (N, 4, din, H), ``w_rec`` (N, 4, H, H) and ``bias``
+    (N, 4, 1, H), gates in i, f, o, g order.  The sigmoid gates' (i, f, o)
+    blocks are stored negated, so their pre-activations come out as -z and
+    feed ``exp`` directly; negation is exact, so this changes no bit.  The
+    dense head is stacked as ``fc1_w`` (N, H, FC1_UNITS), ``fc1_b``
+    (N, 1, FC1_UNITS), ``fc2_w`` (N, FC1_UNITS, NUM_ACTIONS) and ``fc2_b``
+    (N, 1, NUM_ACTIONS).
+    """
+
+    input_dim: int
+    hidden_dim: int
+    layers: list[LstmLayer]
+    fc1_w: np.ndarray
+    fc1_b: np.ndarray
+    fc2_w: np.ndarray
+    fc2_b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.fc1_w)
+
+    def __getitem__(self, rows: slice) -> NetworkStack:
+        """The networks in ``rows``, as views of this stack's arrays."""
+        return NetworkStack(
+            self.input_dim, self.hidden_dim,
+            [LstmLayer(l.w_in[rows], l.w_rec[rows], l.bias[rows]) for l in self.layers],
+            self.fc1_w[rows], self.fc1_b[rows], self.fc2_w[rows], self.fc2_b[rows],
+        )
+
+
+def stack_networks(nets: list[QNetwork]) -> NetworkStack:
+    """Copy networks of one (input dim, hidden dim, layers) geometry into a
+    :class:`NetworkStack`; later changes to the networks do not reach it."""
+    if not nets:
+        raise ValueError("need at least one network")
+    first = nets[0]
+    geometry = (first.input_dim, first.hidden_dim, first.num_layers)
+    if any((n.input_dim, n.hidden_dim, n.num_layers) != geometry for n in nets):
+        raise ValueError("stacked networks must share input dim, hidden dim and layers")
+    h = first.hidden_dim
+
+    def gate_major(blocks):  # per network (rows, 4H) -> (N, 4, rows, H)
+        out = np.empty((len(blocks), 4, len(blocks[0]), h))
+        for dst, w in zip(out, blocks):
+            dst[...] = w.reshape(len(w), 4, h).transpose(1, 0, 2)
+        np.negative(out[:, :3], out=out[:, :3])
+        return out
+
+    layers = [
+        LstmLayer(
+            w_in=gate_major([n.layers[li].w_in for n in nets]),
+            w_rec=gate_major([n.layers[li].w_rec for n in nets]),
+            bias=gate_major([n.layers[li].bias[None] for n in nets]),
+        )
+        for li in range(first.num_layers)
+    ]
+    return NetworkStack(
+        first.input_dim, h, layers,
+        fc1_w=np.stack([n.fc1_w for n in nets]),
+        fc1_b=np.stack([n.fc1_b[None] for n in nets]),
+        fc2_w=np.stack([n.fc2_w for n in nets]),
+        fc2_b=np.stack([n.fc2_b[None] for n in nets]),
+    )
+
+
+def forward_stack(stack: NetworkStack, x: np.ndarray) -> np.ndarray:
+    """Q-values (N, B, NUM_ACTIONS) of every stacked network on its own batch.
+
+    ``x`` is (N, B, T, D): network n evaluates ``x[n]``.  The pass runs
+    step-major: at each step every layer of every network advances with one
+    ``np.matmul`` per weight block into an (N, 4, B, H) buffer, so each
+    elementwise op works on contiguous per-network blocks.  Each network's
+    Q-values are bit-identical to ``forward_batch`` on its own batch when B
+    is a multiple of 4 (the BLAS micro-kernel height) and at most 256.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4 or len(x) != len(stack):
+        raise PhaseseekError(f"need a ({len(stack)}, B, T, D) batch, got shape {x.shape}")
+    n, b, t, d = x.shape
+    if d != stack.input_dim:
+        raise PhaseseekError(
+            f"input dim {d} does not match network input dim {stack.input_dim}"
+        )
+    h = stack.hidden_dim
+    seq = x.transpose(2, 0, 1, 3)[:, :, None]  # (T, N, 1, B, D) view
+    z = np.empty((n, 4, b, h))
+    rec = np.empty((n, 4, b, h))
+    prod = np.empty((n, b, h))
+    cells = np.zeros((len(stack.layers), n, b, h))
+    hiddens = np.zeros((len(stack.layers), n, 1, b, h))
+    sig, f_gate, o_gate, g_gate = z[:, :3], z[:, 1], z[:, 2], z[:, 3]
+    with np.errstate(over="ignore"):
+        for step in range(t):
+            inp = seq[step]
+            for layer, c, hid in zip(stack.layers, cells, hiddens):
+                np.matmul(inp, layer.w_in, out=z)
+                z += layer.bias
+                if step:  # the state starts at zero: no recurrent term at step 0
+                    np.matmul(hid, layer.w_rec, out=rec)
+                    z += rec
+                np.exp(sig, out=sig)  # sigmoid of the stored -z
+                sig += 1.0
+                np.divide(1.0, sig, out=sig)
+                np.tanh(g_gate, out=g_gate)
+                c *= f_gate
+                np.multiply(z[:, 0], g_gate, out=prod)
+                c += prod
+                np.tanh(c, out=prod)
+                np.multiply(o_gate, prod, out=hid[:, 0])
+                inp = hid
+    a1 = np.tanh(hiddens[-1][:, 0] @ stack.fc1_w + stack.fc1_b)
+    return a1 @ stack.fc2_w + stack.fc2_b
+
+
 def backward_batch(
     net: QNetwork, cache: ForwardCache, dq: np.ndarray, scratch: dict | None = None
 ) -> list[np.ndarray]:
@@ -445,6 +568,18 @@ def load_checkpoint(path) -> QNetwork:
         raise PhaseseekError(f"{path}: unsupported checkpoint version {version}")
     if fc1 != FC1_UNITS or actions != NUM_ACTIONS:
         raise PhaseseekError(f"{path}: head dims {fc1}/{actions} not supported")
+    if min(d, h, m) < 1:
+        raise PhaseseekError(f"{path}: zero dimension in header (D={d}, H={h}, layers={m})")
+    # Check the payload length against the header dims (Python ints, no
+    # overflow) before allocating anything the header sizes.
+    values = (d + h + 1) * 4 * h + (m - 1) * (2 * h + 1) * 4 * h
+    values += (h + 1) * FC1_UNITS + (FC1_UNITS + 1) * NUM_ACTIONS
+    payload = len(raw) - _CKPT_HEADER.size
+    if payload < 8 * values:
+        raise PhaseseekError(f"{path}: checkpoint payload truncated "
+                             f"({payload} bytes, header dims need {8 * values})")
+    if payload > 8 * values:
+        raise PhaseseekError(f"{path}: trailing bytes in checkpoint")
     net = QNetwork(d, h, m)
     net.layers = [
         LstmLayer(
@@ -461,11 +596,6 @@ def load_checkpoint(path) -> QNetwork:
 
     offset = _CKPT_HEADER.size
     for p in param_list(net):
-        nbytes = p.size * 8
-        if offset + nbytes > len(raw):
-            raise PhaseseekError(f"{path}: checkpoint payload truncated")
         p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=offset).reshape(p.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise PhaseseekError(f"{path}: trailing bytes in checkpoint")
+        offset += p.size * 8
     return net

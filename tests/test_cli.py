@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ class TestInferMetaValidation:
             "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
         ]) == 2
         assert "phase0_" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        # 36 bytes whose header declares H=4000: rejected before any allocation
+        (ckpt / "phase0_begin.qnet").write_bytes(
+            struct.pack("<4sIIIIII", b"QNET", 1, 6, 4000, 1, 50, 2) + bytes(8))
+        out = tmp_path / "out"
+        assert main([
+            "infer", "--phases", "2",
+            "--features-dir", str(workspace / "data"),
+            "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
+        ]) == 2
+        assert "phase0_begin.qnet" in capsys.readouterr().err
         assert not out.exists()
 
     def test_video_dim_mismatch_names_video_and_writes_nothing(self, workspace, tmp_path,

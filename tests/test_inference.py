@@ -151,13 +151,16 @@ def _pair(dim=1, window=1):
 def _scripted_actions(pair, begin_rule, end_rule, monkeypatch):
     # Replace greedy action selection with position-based scripts; with
     # window_len 1 and one-dimensional position features, each state's
-    # rows are [[pos_begin], [pos_end]].
-    def fake(net, states):
-        if net is pair.begin_net:
-            return [begin_rule(int(rows[0, 0])) for rows in states]
-        return [end_rule(int(rows[1, 0])) for rows in states]
+    # rows are [[pos_begin], [pos_end]].  The fake answers for every
+    # network of a stack group, each on its own list of states.
+    def fake(group, states):
+        return [
+            [begin_rule(int(rows[0, 0])) for rows in net_states] if net is pair.begin_net
+            else [end_rule(int(rows[1, 0])) for rows in net_states]
+            for net, net_states in zip(group.nets, states)
+        ]
 
-    monkeypatch.setattr(inference, "greedy_actions", fake)
+    monkeypatch.setattr(inference, "_group_actions", fake)
 
 
 def _position_video(t):
@@ -305,21 +308,45 @@ class TestRolloutMany:
             t = search[1].num_clips
             assert result.visited and all(0 <= i < t for i in result.visited)
 
-    def test_one_forward_per_network_per_round(self, monkeypatch):
+    def test_one_forward_stack_per_group_per_round(self, monkeypatch):
         calls = []
-        real = inference.greedy_actions
+        real = inference.forward_stack
 
-        def counting(net, states):
-            calls.append(len(states))
-            return real(net, states)
+        def counting(stack, x):
+            calls.append(x.shape[:3])
+            return real(stack, x)
 
-        monkeypatch.setattr(inference, "greedy_actions", counting)
-        policy = SearchPolicy(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
+        monkeypatch.setattr(inference, "forward_stack", counting)
+        narrow = SearchPolicy(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
+        # Same networks as narrow but read through another window length,
+        # so they form a second group; a third policy shares a network.
+        wide = SearchPolicy(narrow.begin_net, narrow.end_net, 3)
+        shared = SearchPolicy(narrow.begin_net, zero_qnetwork(1, 4, 1), 1)
         videos = [_position_video(t) for t in (10, 20, 30)]
-        results = rollout_many([(policy, v, (2, 5)) for v in videos], max_steps=3)
+        searches = [(narrow, v, (2, 5)) for v in videos]
+        searches += [(wide, videos[0], (2, 5)), (shared, videos[1], (2, 5))]
+        results = rollout_many(searches, max_steps=3)
         # zero networks tie, so both agents walk Right: no search settles early
-        assert [r.steps_taken for r in results] == [3, 3, 3]
-        assert calls == [3] * 6
+        assert [r.steps_taken for r in results] == [3] * 5
+        # Per round: the window-1 group stacks three networks (the shared
+        # begin network sees 4 states, the others 3 and 1, padded to 4
+        # rows); the window-3 group stacks two networks with one state each.
+        assert calls == [(3, 4, 2), (2, 4, 6)] * 3
+
+    def test_two_geometries_match_each_alone(self):
+        small = SearchPolicy(init_qnetwork(2, 5, 1, seed=3), init_qnetwork(2, 5, 1, seed=4), 3)
+        deep = SearchPolicy(init_qnetwork(3, 4, 2, seed=5), init_qnetwork(3, 4, 2, seed=6), 1)
+        wide = SearchPolicy(small.begin_net, small.end_net, 5)
+        rng = np.random.default_rng(8)
+        searches = []
+        for policy, dim in ((small, 2), (deep, 3), (wide, 2), (deep, 3), (small, 2)):
+            t = int(rng.integers(8, 40))
+            video = FeatureSequence(rng.normal(size=(t, dim)))
+            searches.append((policy, video, (int(rng.integers(0, t)), int(rng.integers(0, t)))))
+        together = rollout_many(searches, max_steps=25)
+        for search, result in zip(searches, together):
+            assert _fields(result) == _fields(rollout_many([search], max_steps=25)[0])
+            assert _fields(result) == _reference_rollout(*search, 25)
 
     def test_dim_mismatch_rejected(self):
         policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)
@@ -328,14 +355,22 @@ class TestRolloutMany:
 
     @pytest.mark.parametrize("dims", [(16, 64, 2, 5), (2, 3, 1, 1)])
     def test_q_values_do_not_depend_on_batch_companions(self, dims):
+        # A state's Q-values are the same alone and among random companion
+        # states, for its own network and for the other stacked network.
         dim, hidden, layers, window = dims
-        net = init_qnetwork(dim, hidden, layers, seed=4)
+        group = inference._StackGroup((2 * window, dim))
+        for seed in (4, 9):
+            group.row(init_qnetwork(dim, hidden, layers, seed=seed))
+        group.freeze()
         rng = np.random.default_rng(5)
         states = rng.normal(size=(64, 2 * window, dim))
-        alone = np.concatenate([inference._q_values(net, states[i: i + 1]) for i in range(64)])
+        alone = [np.concatenate([inference._q_values(group, [[s], []])[0] for s in states]),
+                 np.concatenate([inference._q_values(group, [[], [s]])[1] for s in states])]
         for size in (1, 2, 3, 5, 8, 13, 64, 300):
-            idx = rng.integers(0, 64, size)
-            np.testing.assert_array_equal(inference._q_values(net, states[idx]), alone[idx])
+            idx = [rng.integers(0, 64, size), rng.integers(0, 64, int(rng.integers(0, 300)))]
+            q = inference._q_values(group, [list(states[i]) for i in idx])
+            for net in (0, 1):
+                np.testing.assert_array_equal(q[net], alone[net][idx[net]])
 
     def test_single_state_ties_go_right(self):
         states = np.zeros((1, 4, 3))

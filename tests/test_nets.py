@@ -1,7 +1,11 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseseek.errors import PhaseseekError
 from phaseseek.nets import (
@@ -15,11 +19,13 @@ from phaseseek.nets import (
     clone_params,
     forward,
     forward_batch,
+    forward_stack,
     huber_loss,
     init_qnetwork,
     load_checkpoint,
     param_list,
     save_checkpoint,
+    stack_networks,
     zero_qnetwork,
 )
 
@@ -119,6 +125,51 @@ class TestForward:
         np.testing.assert_array_equal(q_plain, q_s)
         for a, b in zip(g_plain, g_s):
             np.testing.assert_array_equal(a, b)
+
+
+class TestForwardStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from([(16, 64, 2), (3, 8, 1)]),
+        count=st.integers(1, 6),
+        batch=st.integers(1, 16).map(lambda k: 4 * k),
+        steps=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_forward_batch(self, geometry, count, batch, steps, seed):
+        dim, hidden, layers = geometry
+        nets = [init_qnetwork(dim, hidden, layers, seed=seed + i) for i in range(count)]
+        x = np.random.default_rng(seed).normal(size=(count, batch, steps, dim))
+        q = forward_stack(stack_networks(nets), x)
+        assert q.shape == (count, batch, 2)
+        for net, xi, qi in zip(nets, x, q):
+            assert qi.tobytes() == forward_batch(net, xi, need_cache=False)[0].tobytes()
+
+    def test_slice_is_the_sliced_networks(self):
+        nets = [init_qnetwork(3, 8, 2, seed=i) for i in range(4)]
+        x = np.random.default_rng(1).normal(size=(2, 8, 5, 3))
+        np.testing.assert_array_equal(forward_stack(stack_networks(nets)[1:3], x),
+                                      forward_stack(stack_networks(nets[1:3]), x))
+
+    def test_stack_is_a_copy(self):
+        net = init_qnetwork(3, 8, 1, seed=2)
+        stack = stack_networks([net])
+        x = np.random.default_rng(3).normal(size=(1, 4, 6, 3))
+        before = forward_stack(stack, x)
+        for p in param_list(net):
+            p += 1.0
+        np.testing.assert_array_equal(forward_stack(stack, x), before)
+
+    def test_mixed_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            stack_networks([init_qnetwork(3, 8, 1), init_qnetwork(3, 8, 2)])
+        with pytest.raises(ValueError):
+            stack_networks([])
+
+    @pytest.mark.parametrize("shape", [(2, 4, 6, 3), (1, 4, 6, 4), (4, 6, 3)])
+    def test_bad_batch_shape_rejected(self, shape):
+        with pytest.raises(PhaseseekError):
+            forward_stack(stack_networks([init_qnetwork(3, 8, 1)]), np.zeros(shape))
 
 
 class TestBackward:
@@ -249,6 +300,35 @@ class TestCloneAndCheckpoints:
         path = tmp_path / "net.qnet"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(PhaseseekError):
+            load_checkpoint(path)
+
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # A 36-byte file whose header declares H=4000 (over 1 GB of weights).
+        path = tmp_path / "huge.qnet"
+        path.write_bytes(struct.pack("<4sIIIIII", b"QNET", 1, 16, 4000, 2, FC1_UNITS, 2)
+                         + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PhaseseekError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("dims", [(0, 4, 1), (3, 0, 1), (3, 4, 0)])
+    def test_zero_dim_header_rejected(self, tmp_path, dims):
+        path = tmp_path / "zero.qnet"
+        path.write_bytes(struct.pack("<4sIIIIII", b"QNET", 1, *dims, FC1_UNITS, 2))
+        with pytest.raises(PhaseseekError, match="zero dimension"):
+            load_checkpoint(path)
+
+    def test_checkpoint_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "net.qnet"
+        save_checkpoint(init_qnetwork(3, 4, 1, seed=8), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(PhaseseekError, match="trailing"):
             load_checkpoint(path)
 
 
