@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     BadVersionError,
+    FeatureFileError,
     LabelsFileError,
     NonContiguousPhaseError,
     NonFiniteError,
@@ -200,9 +201,13 @@ def load_features(path) -> FeatureSequence:
         raise BadVersionError(f"{path}: unsupported version {version}")
     if t < 1 or d < 1 or k < 1:
         raise TruncatedError(f"{path}: invalid header dims T={t} D={d} K={k}")
+    if not fps > 0:
+        raise FeatureFileError(f"{path}: invalid fps {fps}")
     expected = _HEADER.size + 4 * t * d
     if len(raw) < expected:
         raise TruncatedError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    if len(raw) > expected:
+        raise FeatureFileError(f"{path}: {len(raw) - expected} trailing byte(s) after the payload")
     feats = np.frombuffer(raw, dtype="<f4", count=t * d, offset=_HEADER.size)
     feats = feats.reshape(t, d).astype(np.float64)
     if not np.isfinite(feats).all():
@@ -215,12 +220,10 @@ def load_features(path) -> FeatureSequence:
 # ---------------------------------------------------------------------------
 
 def save_labels(labels: PhaseLabels, path) -> None:
-    """Write one ``clip_index,phase`` row per clip, sorted by clip index."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_index", "phase"])
-        for i, phase in enumerate(labels.labels):
-            writer.writerow([i, int(phase)])
+    """Write one ``clip_index,phase`` row per clip, sorted by clip index,
+    in the bytes of :mod:`csv`'s default writer (``\\r\\n`` line ends)."""
+    rows = "".join(f"{i},{phase}\r\n" for i, phase in enumerate(labels.labels.tolist()))
+    Path(path).write_text("clip_index,phase\r\n" + rows, encoding="utf-8", newline="")
 
 
 def load_labels(path, num_phases: int | None = None) -> PhaseLabels:
@@ -228,34 +231,33 @@ def load_labels(path, num_phases: int | None = None) -> PhaseLabels:
 
     When ``num_phases`` is omitted it is inferred as ``max(label) + 1``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["clip_index", "phase"]:
-            raise LabelsFileError(f"{path}: expected header 'clip_index,phase'")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise LabelsFileError(f"{path}: malformed row {row!r}")
-            try:
-                rows.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise LabelsFileError(f"{path}: non-integer row {row!r}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise LabelsFileError(f"{path}: unreadable label CSV ({exc})") from exc
+    if not table or [h.strip() for h in table[0]] != ["clip_index", "phase"]:
+        raise LabelsFileError(f"{path}: expected header 'clip_index,phase'")
+    rows = []
+    for row in filter(None, table[1:]):
+        if len(row) != 2:
+            raise LabelsFileError(f"{path}: malformed row {row!r}")
+        try:
+            rows.append((int(row[0]), int(row[1])))
+        except ValueError as exc:
+            raise LabelsFileError(f"{path}: non-integer row {row!r}") from exc
     if not rows:
         raise LabelsFileError(f"{path}: no label rows")
-    indices = [i for i, _ in rows]
-    if indices != list(range(len(rows))):
+    if [i for i, _ in rows] != list(range(len(rows))):
         raise LabelsFileError(f"{path}: rows must cover clip indices 0..T-1 in order")
-    labels = np.array([p for _, p in rows], dtype=np.int64)
-    if labels.min() < 0:
+    phases = [p for _, p in rows]
+    if min(phases) < 0:
         raise LabelsFileError(f"{path}: negative phase id")
     if num_phases is None:
-        num_phases = int(labels.max()) + 1
+        num_phases = max(phases) + 1
     try:
-        return PhaseLabels(labels, num_phases=num_phases)
-    except ValueError as exc:
+        return PhaseLabels(np.array(phases, dtype=np.int64), num_phases=num_phases)
+    except (ValueError, OverflowError) as exc:
         raise LabelsFileError(f"{path}: {exc}") from exc
 
 

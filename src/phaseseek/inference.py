@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import NUM_ACTIONS, NetworkStack, QNetwork, forward_stack, stack_networks
+from .nets import NUM_ACTIONS, QNetwork, forward_stack, stack_networks
 from .training import (
     ACTION_LEFT,
     ACTION_RIGHT,
@@ -26,7 +26,8 @@ from .training import (
     ROLE_END,
     SearchPolicy,
     apply_action,
-    build_state,
+    pad_videos,
+    window_rows,
 )
 
 
@@ -216,13 +217,16 @@ _MAX_ROWS = 128
 
 
 class _StackGroup:
-    # Networks of one geometry that read states of one (2L, D) shape,
-    # evaluated together by forward_stack passes over their one stack.
+    # Networks of one geometry that read states of one (2L, D) shape, and
+    # the videos they search.  freeze() copies the networks into one stack,
+    # which forward_stack passes evaluate together, and the videos into one
+    # padded feature matrix, which their states are gathered from.
     def __init__(self, state_shape: tuple[int, ...]):
         self.state_shape = state_shape
+        self.window_len = state_shape[0] // 2
         self.nets: list[QNetwork] = []
         self._rows: dict[int, int] = {}
-        self.stack: NetworkStack | None = None
+        self.videos: dict[int, FeatureSequence] = {}
 
     def row(self, net: QNetwork) -> int:
         """Position of ``net`` in the stack, added on first sight."""
@@ -231,20 +235,21 @@ class _StackGroup:
             self.nets.append(net)
         return self._rows[id(net)]
 
-    def freeze(self) -> _StackGroup:
+    def freeze(self) -> None:
         self.stack = stack_networks(self.nets)
-        return self
+        if self.videos:
+            self.padded, base = pad_videos(list(self.videos.values()), self.window_len // 2)
+            self.base = dict(zip(self.videos, base.tolist()))
 
 
-def _q_values(group: _StackGroup, states: list[list[np.ndarray]]) -> list[np.ndarray]:
-    # Q-values of each stacked network on its own list of states, in
-    # passes of padded blocks (see the block geometry above).  Only the
-    # stack rows from the first to the last network with states run: in a
-    # rollout a network without movers never gets them back, and the first
-    # and last networks (the first phase's begin agent and the last phase's
-    # end agent) typically settle first, at the video's ends.
+def _q_values(group: _StackGroup, states: list[np.ndarray]) -> list[np.ndarray]:
+    # Q-values of each stacked network on its own states, in passes of
+    # padded blocks (see the block geometry above).  Only the stack rows
+    # from the first to the last network with states run: the first and
+    # last networks (the first phase's begin agent and the last phase's end
+    # agent) typically settle first, at the video's ends, and never resume.
     q = [np.empty((len(rows), NUM_ACTIONS)) for rows in states]
-    busy = [i for i, rows in enumerate(states) if rows]
+    busy = [i for i, rows in enumerate(states) if len(rows)]
     if not busy:
         return q
     width = min(max(map(len, states)), _MAX_ROWS)
@@ -257,14 +262,14 @@ def _q_values(group: _StackGroup, states: list[list[np.ndarray]]) -> list[np.nda
             x = np.zeros((len(nets), width) + group.state_shape)
             blocks = [states[i][lo: lo + width] for i in nets]
             for xi, block in zip(x, blocks):
-                if block:
+                if len(block):
                     xi[: len(block)] = block
             for i, block, qb in zip(nets, blocks, forward_stack(stack, x)):
                 q[i][lo: lo + len(block)] = qb[: len(block)]
     return q
 
 
-def _group_actions(group: _StackGroup, states: list[list[np.ndarray]]) -> list[np.ndarray]:
+def _group_actions(group: _StackGroup, states: list[np.ndarray]) -> list[np.ndarray]:
     # Greedy actions of each stacked network on its own states; ties go Right.
     return [np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
             for q in _q_values(group, states)]
@@ -278,13 +283,14 @@ def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=np.float64)
     group = _StackGroup(states.shape[1:])
     group.row(net)
-    return _group_actions(group.freeze(), [list(states)])[0]
+    group.freeze()
+    return _group_actions(group, [states])[0]
 
 
 class _Search:
     # One (policy, video) search in flight inside rollout_many.  ``groups``
-    # collects the call's stack groups, keyed by network geometry and
-    # window length; each agent's network gets a (group, row) slot there.
+    # collects the call's stack groups, keyed by network geometry and window
+    # length; each agent's network gets a (group, row) slot in one of them.
     def __init__(self, policy: SearchPolicy, video: FeatureSequence, init_pos,
                  groups: dict[tuple, _StackGroup]):
         self.slots = {}
@@ -294,60 +300,48 @@ class _Search:
                                      f"network input dim {net.input_dim}")
             key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
             group = groups.setdefault(key, _StackGroup((2 * policy.window_len, video.dim)))
+            group.videos[id(video)] = video
             self.slots[role] = (group, group.row(net))
-        t = video.num_clips
-        p_b = min(max(init_pos[0], 0), t - 1)
-        p_e = min(max(init_pos[1], 0), t - 1)
+        p_b, p_e = sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos)
         self.policy = policy
         self.video = video
-        self.begin = _AgentTracker(min(p_b, p_e))
-        self.end = _AgentTracker(max(p_b, p_e))
-        self.clips_read = np.zeros(t, dtype=bool)
+        self.begin, self.end = _AgentTracker(p_b), _AgentTracker(p_e)
         self.steps = 0
-        self.visit(self.begin.pos)
-        self.visit(self.end.pos)
-        self.observe()
-
-    def visit(self, center: int) -> None:
-        # Marks the clips of the window at ``center`` (as window_indices
-        # places it) that lie inside the video.
-        lo = center - self.policy.window_len // 2
-        self.clips_read[max(lo, 0): lo + self.policy.window_len] = True
-
-    def observe(self) -> None:
-        self.state = build_state(self.video, self.begin.pos, self.end.pos,
-                                 self.policy.window_len)
 
     def move(self, role: str, action: int) -> None:
         agent, partner = (self.begin, self.end) if role == ROLE_BEGIN else (self.end, self.begin)
         agent.record(apply_action(agent.pos, action, self.video.num_clips,
                                   partner=partner.pos, role=role))
-        self.visit(agent.pos)
 
     @property
     def settled(self) -> bool:
         return self.begin.settled and self.end.settled
 
     def result(self) -> RolloutResult:
+        # The clips of every window either agent occupied.
+        clips = window_rows(self.begin.history + self.end.history, self.policy.window_len)
         return RolloutResult(
             begin=self.begin.pos,
             end=max(self.begin.pos, self.end.pos),
             steps_taken=self.steps,
-            visited=set(np.flatnonzero(self.clips_read).tolist()),
+            visited=set(clips[(clips >= 0) & (clips < self.video.num_clips)].tolist()),
             converged=self.settled,
         )
 
 
 def _decide(movers: list[tuple[_Search, str]]) -> np.ndarray:
-    # Greedy action per (search, role) mover: one _group_actions call per
-    # group with movers, each network on the states of its own movers.
+    # Greedy action per (search, role) mover: per group with movers, one
+    # gather of their states, and each network decides on its own movers'.
     queued: dict[int, tuple[_StackGroup, list[list[int]]]] = {}
     for k, (s, role) in enumerate(movers):
         group, row = s.slots[role]
         queued.setdefault(id(group), (group, [[] for _ in group.nets]))[1][row].append(k)
     actions = np.empty(len(movers), dtype=np.int64)
     for group, rows in queued.values():
-        acts = _group_actions(group, [[movers[k][0].state for k in ks] for ks in rows])
+        centers = [(group.base[id(s.video)] + s.begin.pos, group.base[id(s.video)] + s.end.pos)
+                   for s in (movers[k][0] for ks in rows for k in ks)]
+        states = group.padded[window_rows(centers, group.window_len)]
+        acts = _group_actions(group, np.split(states, np.cumsum([len(ks) for ks in rows[:-1]])))
         for ks, a in zip(rows, acts):
             actions[ks] = a
     return actions
@@ -360,16 +354,19 @@ def rollout_many(
     """Run every ``(policy, video, init_pos)`` search greedily, in lockstep.
 
     Each round, the networks of one geometry and window length evaluate
-    the states of all their unsettled agents together, in
+    the states of all their unsettled agents together: one index gathers
+    the states from the group's padded feature matrix (see
+    :func:`~phaseseek.training.pad_videos`), and
     :func:`~phaseseek.nets.forward_stack` passes of at most 128 state rows
-    (one pass per round unless more rows wait).  Both agents of a search
-    decide on the pre-move state; begin moves first and end is clamped against begin's new
-    position.  A settled agent stops moving but its window still feeds the
-    shared state.  A search leaves the batch once both agents settle or
-    after ``max_steps`` rounds; then ``converged`` is False and the current
-    positions are reported.  Every clip whose features enter a state is
-    added to that search's ``visited``.  Results come back in input order
-    and equal those of rolling out each search alone.
+    evaluate them (one pass per round unless more rows wait).  Both agents
+    of a search decide on the pre-move state; begin moves first and end is
+    clamped against begin's new position.  A settled agent stops moving but
+    its window still feeds the shared state.  A search leaves the batch
+    once both agents settle or after ``max_steps`` rounds; then
+    ``converged`` is False and the current positions are reported.
+    ``visited`` holds the clips of every window either agent occupied,
+    which includes every clip whose features enter a state.  Results come
+    back in input order and equal those of rolling out each search alone.
     """
     groups: dict[tuple, _StackGroup] = {}
     runs = [_Search(policy, video, init_pos, groups) for policy, video, init_pos in searches]
@@ -385,7 +382,6 @@ def rollout_many(
         for (s, role), action in zip(movers, actions):
             s.move(role, action)
         for s in active:
-            s.observe()
             s.steps += 1
     return [s.result() for s in runs]
 
@@ -404,7 +400,4 @@ def coverage_rate(visited_sets: list[set[int]], num_clips: int) -> float:
     """Fraction of the video's clips read across all phases' rollouts."""
     if num_clips <= 0:
         raise PhaseseekError("num_clips must be positive")
-    union: set[int] = set()
-    for s in visited_sets:
-        union |= s
-    return len(union) / num_clips
+    return len(set().union(*visited_sets)) / num_clips

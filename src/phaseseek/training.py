@@ -48,16 +48,15 @@ ROLE_END = "end"
 class ReplayMemory:
     """Fixed-capacity ring buffer of experiences, oldest evicted first.
 
-    States are stored in preallocated arrays so a batch sample is a single
-    gather per field.
+    A state is stored as its integer window rows into a padded feature
+    matrix (see :func:`pad_videos`); a batch sample is one gather per field.
     """
 
     def __init__(self, capacity: int = 10000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._states = None
-        self._next_states = None
+        self._rows = None  # (capacity, 2, 2L): state and next-state window rows
         self._actions = np.empty(capacity, dtype=np.int64)
         self._rewards = np.empty(capacity, dtype=np.int64)
         self._head = 0
@@ -67,32 +66,26 @@ class ReplayMemory:
         return self._size
 
     def push(self, state: np.ndarray, next_state: np.ndarray, action: int, reward: int) -> None:
-        """Store one transition: shared state, successor state, the agent's action and reward."""
+        """Store one transition: both states' window rows, the agent's action and reward."""
         if action not in (ACTION_RIGHT, ACTION_LEFT):
             raise ValueError(f"unknown action {action}")
         if reward not in (1, -1):
             raise ValueError(f"reward must be +1 or -1, got {reward}")
-        if self._states is None:
-            self._states = np.empty((self.capacity,) + np.shape(state))
-            self._next_states = np.empty_like(self._states)
-        self._states[self._head] = state
-        self._next_states[self._head] = next_state
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, 2) + np.shape(state), dtype=np.int64)
+        self._rows[self._head] = state, next_state
         self._actions[self._head] = action
         self._rewards[self._head] = reward
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
-        """Uniform sample without replacement: (states, next_states, actions, rewards)."""
+        """Uniform sample without replacement: (state rows, next-state rows, actions, rewards)."""
         if batch > self._size:
             raise PhaseseekError(f"cannot sample {batch} from memory of size {self._size}")
         idx = rng.choice(self._size, size=batch, replace=False)
-        return (
-            self._states[idx],
-            self._next_states[idx],
-            self._actions[idx],
-            self._rewards[idx],
-        )
+        rows = self._rows[idx]
+        return rows[:, 0], rows[:, 1], self._actions[idx], self._rewards[idx]
 
 
 @dataclass
@@ -147,31 +140,37 @@ class SearchPolicy:
 # Environment primitives
 # ---------------------------------------------------------------------------
 
-def window_indices(center: int, window_len: int, num_clips: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clip indices of a window centered at ``center`` and their in-range mask."""
-    half = window_len // 2
-    idx = np.arange(center - half, center - half + window_len)
-    return idx, (idx >= 0) & (idx < num_clips)
+def pad_videos(videos: list[FeatureSequence], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The videos' clip features in one float64 matrix with ``pad`` zero rows
+    around each video, and each video's base row: clip ``c`` of video ``v``
+    is row ``base[v] + c``.  Windows of up to ``2 * pad + 1`` clips centered
+    on a clip then read only that video's clips and zero rows."""
+    base = np.cumsum([pad] + [v.num_clips + pad for v in videos[:-1]])
+    padded = np.zeros((base[-1] + videos[-1].num_clips + pad, videos[-1].dim))
+    for b, v in zip(base, videos):
+        padded[b: b + v.num_clips] = v.features
+    return padded, base
+
+
+def window_rows(centers, window_len: int) -> np.ndarray:
+    """Rows ``(..., k * window_len)`` of the windows centered at ``(..., k)`` rows;
+    for (begin, end) centers, ``padded[window_rows(centers, L)]`` is ``(..., 2L, D)`` states."""
+    centers = np.asarray(centers)
+    rows = centers[..., None] + (np.arange(window_len) - window_len // 2)
+    return rows.reshape(centers.shape[:-1] + (-1,))
 
 
 def build_state(
     seq: FeatureSequence, pos_begin: int, pos_end: int, window_len: int
 ) -> np.ndarray:
     """Stack both windows' clip features (begin window first) into one
-    ``(2L, D)`` state.
-
-    Window positions outside the video contribute zero rows.
-    """
-    if pos_begin > pos_end:
-        raise PhaseseekError(f"window order violated: begin {pos_begin} > end {pos_end}")
-    t = seq.num_clips
-    idx_b, ok_b = window_indices(pos_begin, window_len, t)
-    idx_e, ok_e = window_indices(pos_end, window_len, t)
-    idx = np.concatenate((idx_b, idx_e))
-    ok = np.concatenate((ok_b, ok_e))
-    rows = np.zeros((2 * window_len, seq.dim))
-    rows[ok] = seq.features[idx[ok]]
-    return rows
+    ``(2L, D)`` state; both centers must lie in the video, and window rows
+    past its ends are zero."""
+    if not 0 <= pos_begin <= pos_end < seq.num_clips:
+        raise PhaseseekError(f"window order violated or outside the video: begin {pos_begin}, "
+                             f"end {pos_end}, {seq.num_clips} clips")
+    padded, (base,) = pad_videos([seq], window_len // 2)
+    return padded[window_rows(base + np.array([pos_begin, pos_end]), window_len)]
 
 
 def apply_action(pos: int, action: int, num_clips: int, partner: int, role: str) -> int:
@@ -208,6 +207,7 @@ def dqn_update(
     net: QNetwork,
     target_net: QNetwork,
     memory: ReplayMemory,
+    padded: np.ndarray,
     batch: int,
     gamma: float,
     adam: AdamState,
@@ -217,15 +217,16 @@ def dqn_update(
     """One Bellman regression step; returns batch loss, or None when the
     memory holds fewer than ``batch`` records (no update performed).
 
-    ``scratch`` is an optional private buffer dict reused across updates of
-    the same agent (see ``forward_batch``).
+    The sampled window rows are gathered from ``padded``.  ``scratch`` is an
+    optional private buffer dict reused across updates of the same agent
+    (see ``forward_batch``).
     """
     if len(memory) < batch:
         return None
     states, next_states, actions, rewards = memory.sample(batch, rng)
-    q, cache = forward_batch(net, states, need_cache=True, scratch=scratch)
+    q, cache = forward_batch(net, padded[states], need_cache=True, scratch=scratch)
     if gamma != 0.0:
-        q_next, _ = forward_batch(target_net, next_states, need_cache=False, scratch=scratch)
+        q_next, _ = forward_batch(target_net, padded[next_states], need_cache=False, scratch=scratch)
         targets = rewards + gamma * q_next.max(axis=1)
     else:
         targets = rewards.astype(np.float64)
@@ -313,26 +314,28 @@ def train(
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
     begin, end = (_AgentSlot.fresh(usable[0][1].dim, cfg, int(s)) for s in seeds)
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
+    padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 
     for episode in range(cfg.episodes_max):
         eps = cfg.epsilon_at(episode)
-        for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e) in zip(usable, starts):
+        for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e), base in zip(usable, starts, bases):
             begin.gt, end.gt = gt_b, gt_e
             begin.pos, end.pos = p0_b, p0_e
             for slot in (begin, end):
                 slot.loss_sum, slot.loss_count = 0.0, 0
             t = seq.num_clips
-            state = build_state(seq, begin.pos, end.pos, cfg.window_len)
+            rows = window_rows(base + np.array([begin.pos, end.pos]), cfg.window_len)
             for _ in range(cfg.max_steps_per_video):
+                state = padded[rows]
                 act_b = select_action(begin.net, state, eps, rng)
                 act_e = select_action(end.net, state, eps, rng)
                 new_b = apply_action(begin.pos, act_b, t, partner=end.pos, role=ROLE_BEGIN)
                 new_e = apply_action(end.pos, act_e, t, partner=new_b, role=ROLE_END)
-                next_state = build_state(seq, new_b, new_e, cfg.window_len)
+                next_rows = window_rows(base + np.array([new_b, new_e]), cfg.window_len)
                 for slot, action, new_pos in ((begin, act_b, new_b), (end, act_e, new_e)):
                     reward = compute_reward(slot.pos, new_pos, slot.gt)
-                    slot.memory.push(state, next_state, action, reward)
-                    loss = dqn_update(slot.net, slot.target, slot.memory,
+                    slot.memory.push(rows, next_rows, action, reward)
+                    loss = dqn_update(slot.net, slot.target, slot.memory, padded,
                                       cfg.batch, cfg.gamma, slot.adam, rng,
                                       scratch=slot.scratch)
                     if loss is not None:
@@ -342,7 +345,7 @@ def train(
                         if slot.updates % cfg.target_sync_period == 0:
                             copy_params_into(slot.net, slot.target)
                     slot.pos = new_pos
-                state = next_state
+                rows = next_rows
             if on_video is not None:
                 on_video(TrainVideoLog(
                     episode=episode,

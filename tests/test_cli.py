@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaseseek
 from phaseseek.cli import main
 from phaseseek.features import load_labels
 from phaseseek.inference import LinearClipClassifier
@@ -22,6 +27,18 @@ def _synth(out_dir, count=4, phases=2, seed=7, extra=()):
         "--min-len", "12", "--max-len", "16", "--noise", "0.02", "--blend", "1",
     ]
     assert main(args + list(extra)) == 0
+
+
+def _run(argv) -> tuple[int, str]:
+    # The CLI in a child process, so an uncaught exception shows as a
+    # traceback on standard error: (exit code, standard error).
+    env = {**os.environ, "PYTHONPATH": str(Path(phaseseek.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "phaseseek.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+NOT_UTF8_LABELS = b"clip_index,phase\r\n0,\xff\r\n"
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +323,60 @@ class TestEval:
         ]) == 0
         payload = json.loads(report.read_text())
         assert payload["aggregate"]["coverage"] < 1.0
+
+
+class TestMalformedInputs:
+    # Undecodable label CSVs and feature files with trailing bytes are data
+    # errors (exit 2), an undecodable --config file is a usage error
+    # (exit 1); none ends in a traceback.
+    def _copy_with_bad_labels(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        (data / "video_001.csv").write_bytes(NOT_UTF8_LABELS)
+        return data
+
+    def test_eval(self, workspace, tmp_path):
+        gt = self._copy_with_bad_labels(workspace, tmp_path)
+        code, err = _run(["eval", "--pred-dir", workspace / "data", "--gt-dir", gt,
+                          "--report", tmp_path / "r.json"])
+        assert code == 2
+        assert "video_001.csv" in err and "Traceback" not in err
+
+    def test_train(self, workspace, tmp_path):
+        data = self._copy_with_bad_labels(workspace, tmp_path)
+        code, err = _run(["train", "--phase", 0, "--phases", 2, "--features-dir", data,
+                          "--labels-dir", data, "--checkpoints-dir", tmp_path / "ck",
+                          *TINY_TRAIN])
+        assert code == 2
+        assert "video_001.csv" in err and "Traceback" not in err
+
+    def test_infer_rmi_predictions(self, workspace, tmp_path):
+        preds = self._copy_with_bad_labels(workspace, tmp_path)
+        code, err = _run(["infer", "--phases", 2, "--init", "rmi",
+                          "--features-dir", workspace / "data",
+                          "--checkpoints-dir", workspace / "ckpt",
+                          "--out-dir", tmp_path / "out", "--rmi-predictions-dir", preds])
+        assert code == 2
+        assert "video_001.csv" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"count=2\n# \xe9t\xe9\n")
+        code, err = _run(["synth", "--config", cfg, "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "run.cfg" in err and "Traceback" not in err
+
+    def test_trailing_feature_bytes(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        trnf = data / "video_002.trnf"
+        trnf.write_bytes(trnf.read_bytes() + bytes(4))
+        code, err = _run(["infer", "--phases", 2, "--features-dir", data,
+                          "--checkpoints-dir", workspace / "ckpt",
+                          "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert "trailing" in err and "Traceback" not in err
 
 
 class TestRibbon:

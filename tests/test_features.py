@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from phaseseek.errors import (
     BadMagicError,
     BadVersionError,
+    FeatureFileError,
     LabelsFileError,
     NonContiguousPhaseError,
     NonFiniteError,
@@ -75,6 +78,23 @@ class TestFeatureFiles:
         with pytest.raises(TruncatedError):
             load_features(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "v.trnf"
+        save_features(_seq(np.ones((3, 2))), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FeatureFileError, match="1 trailing byte"):
+            load_features(path)
+
+    @pytest.mark.parametrize("fps", [0.0, -2.4, float("nan")])
+    def test_invalid_fps_rejected(self, tmp_path, fps):
+        path = tmp_path / "v.trnf"
+        save_features(_seq(np.ones((3, 2))), path)
+        raw = bytearray(path.read_bytes())
+        raw[20:24] = np.float32(fps).astype("<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureFileError, match="fps"):
+            load_features(path)
+
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "v.trnf"
         seq = _seq(np.ones((2, 2)))
@@ -111,6 +131,33 @@ class TestLabelFiles:
         path.write_text("frame,phase\n0,0\n")
         with pytest.raises(LabelsFileError):
             load_labels(path, 2)
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        labels = PhaseLabels(np.array([0, 0, 1, 3, 2, 2, 1]), num_phases=3)
+        path, reference = tmp_path / "v.csv", tmp_path / "ref.csv"
+        save_labels(labels, path)
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["clip_index", "phase"])
+            for i, phase in enumerate(labels.labels):
+                writer.writerow([i, int(phase)])
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes().endswith(b"6,1\r\n")
+
+    @pytest.mark.parametrize("raw", [b"clip_index,phase\r\n0,\xff\r\n",
+                                     b"\xfe\xffclip_index,phase\r\n0,0\r\n"],
+                             ids=["row", "header"])
+    def test_non_utf8_rejected(self, tmp_path, raw):
+        path = tmp_path / "v.csv"
+        path.write_bytes(raw)
+        with pytest.raises(LabelsFileError, match="decode"):
+            load_labels(path)
+
+    def test_phase_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("clip_index,phase\n0,99999999999999999999\n")
+        with pytest.raises(LabelsFileError):
+            load_labels(path)
 
 
 class TestAverageClips:

@@ -25,7 +25,6 @@ from phaseseek.training import (
     ROLE_END,
     apply_action,
     build_state,
-    window_indices,
 )
 
 
@@ -202,17 +201,28 @@ class TestRollout:
         assert result.end == 15
 
     def test_visited_matches_instrumented_feature_reads(self, monkeypatch):
+        # Rollout states are gathered from one padded feature matrix; record
+        # every video clip whose row an integer index reads from it.
         read_log: set[int] = set()
-
-        class RecordingArray(np.ndarray):
-            def __getitem__(self, key):
-                if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-                    read_log.update(int(k) for k in key.ravel())
-                return super().__getitem__(key)
-
-        pair = _pair(window=3)
         video = _position_video(60)
-        video.features = video.features.view(RecordingArray)
+        t = video.num_clips
+        pad_videos = inference.pad_videos
+
+        def recording_pad_videos(videos, pad):
+            assert len(videos) == 1 and videos[0] is video
+            padded, (base,) = pad_videos(videos, pad)
+
+            class RecordingArray(np.ndarray):
+                def __getitem__(self, key):
+                    if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+                        clips = key.ravel() - base
+                        read_log.update(int(c) for c in clips[(clips >= 0) & (clips < t)])
+                    return super().__getitem__(key)
+
+            return padded.view(RecordingArray), np.array([base])
+
+        monkeypatch.setattr(inference, "pad_videos", recording_pad_videos)
+        pair = _pair(window=3)
         _scripted_actions(pair, lambda p: ACTION_RIGHT if p < 30 else ACTION_LEFT,
                           lambda p: ACTION_LEFT if p > 40 else ACTION_RIGHT, monkeypatch)
         result = rollout(pair, video, (20, 50))
@@ -237,8 +247,8 @@ def _reference_rollout(policy, video, init_pos, max_steps):
     visited = set()
 
     def visit(center):
-        idx, ok = window_indices(center, policy.window_len, t)
-        visited.update(int(i) for i in idx[ok])
+        lo = center - policy.window_len // 2
+        visited.update(i for i in range(lo, lo + policy.window_len) if 0 <= i < t)
 
     def state():
         return build_state(video, begin.pos, end.pos, policy.window_len)[None]

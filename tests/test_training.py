@@ -24,16 +24,27 @@ from phaseseek.training import (
     build_state,
     compute_reward,
     dqn_update,
+    pad_videos,
     select_action,
     train,
+    window_rows,
 )
 
 
-def _record(rng, dim=3, action=ACTION_RIGHT, reward=1, window=2):
-    # (state, next_state, action, reward), the arguments of ReplayMemory.push
-    s = rng.normal(size=(2 * window, dim))
-    s2 = rng.normal(size=(2 * window, dim))
+_PADDED_ROWS = 40
+
+
+def _record(rng, action=ACTION_RIGHT, reward=1, window=2):
+    # (state, next_state, action, reward), the arguments of ReplayMemory.push:
+    # each state is a vector of 2L window rows into a padded feature matrix
+    s = rng.integers(0, _PADDED_ROWS, size=2 * window)
+    s2 = rng.integers(0, _PADDED_ROWS, size=2 * window)
     return s, s2, action, reward
+
+
+def _padded(rng):
+    # A 3-dim feature matrix for _record's window rows to index.
+    return rng.normal(size=(_PADDED_ROWS, 3))
 
 
 def _agent(dim, cfg):
@@ -71,6 +82,27 @@ class TestBuildState:
     def test_order_violation_rejected(self):
         with pytest.raises(PhaseseekError):
             build_state(FeatureSequence(np.ones((5, 1))), 3, 2, window_len=1)
+
+    @pytest.mark.parametrize("window_len", [1, 2, 3, 4, 5, 7])
+    def test_padded_windows_read_only_their_video(self, window_len):
+        # Every (begin, end) state gathered from one matrix of several
+        # videos equals the state built clip by clip from its own video.
+        rng = np.random.default_rng(window_len)
+        videos = [FeatureSequence(rng.normal(size=(t, 2))) for t in (1, 4, 9)]
+        padded, base = pad_videos(videos, window_len // 2)
+        lo = window_len // 2
+        for v, seq in enumerate(videos):
+            t = seq.num_clips
+            for b in range(t):
+                for e in range(b, t):
+                    expected = np.zeros((2 * window_len, 2))
+                    for k, c in enumerate([*range(b - lo, b - lo + window_len),
+                                           *range(e - lo, e - lo + window_len)]):
+                        if 0 <= c < t:
+                            expected[k] = seq.features[c]
+                    rows = window_rows(base[v] + np.array([b, e]), window_len)
+                    np.testing.assert_array_equal(padded[rows], expected)
+                    np.testing.assert_array_equal(build_state(seq, b, e, window_len), expected)
 
 
 class TestApplyAction:
@@ -143,8 +175,8 @@ class TestReplayMemory:
         assert len(mem) == 3
         states, _, _, rewards = mem.sample(3, np.random.default_rng(0))
         # only the last three records remain
-        kept = {tuple(state[0]) for state, _, _, _ in records[2:]}
-        got = {tuple(s[0]) for s in states}
+        kept = {tuple(state) for state, _, _, _ in records[2:]}
+        got = {tuple(s) for s in states}
         assert got == kept
 
     def test_sample_too_large_rejected(self):
@@ -171,7 +203,7 @@ class TestDqnUpdate:
         for _ in range(10):
             memory.push(*_record(rng, window=3))
         before = [p.copy() for p in param_list(net)]
-        loss = dqn_update(net, target, memory, 128, 0.9, adam, rng)
+        loss = dqn_update(net, target, memory, _padded(rng), 128, 0.9, adam, rng)
         assert loss is None
         for a, b in zip(before, param_list(net)):
             np.testing.assert_array_equal(a, b)
@@ -188,7 +220,7 @@ class TestDqnUpdate:
             p[...] = 0.0
         for _ in range(8):
             memory.push(*_record(rng, reward=-1))
-        loss = dqn_update(net, target, memory, 8, 0.9, adam, rng)
+        loss = dqn_update(net, target, memory, _padded(rng), 8, 0.9, adam, rng)
         assert loss == pytest.approx(0.5)
 
     def test_converges_to_reward_with_zero_gamma(self):
@@ -197,11 +229,12 @@ class TestDqnUpdate:
                           gamma=0.0, lr=1e-2)
         net, target, adam, memory = _agent(3, cfg)
         record = _record(rng, action=ACTION_RIGHT, reward=1)
+        padded = _padded(rng)
         for _ in range(8):
             memory.push(*record)
         for _ in range(400):
-            loss = dqn_update(net, target, memory, 8, 0.0, adam, rng)
-        q, _ = forward(net, record[0])
+            loss = dqn_update(net, target, memory, padded, 8, 0.0, adam, rng)
+        q, _ = forward(net, padded[record[0]])
         assert q[ACTION_RIGHT] == pytest.approx(1.0, abs=0.05)
         assert loss < 1e-3
 
