@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .features import (
     save_features,
     save_labels,
     synth_dataset,
+    write_atomic,
 )
 from .inference import (
     FixedInit,
@@ -41,6 +43,10 @@ from .nets import load_checkpoint, save_checkpoint
 from .training import SearchPolicy, TrainConfig, train
 
 TRANSITIONS_SCHEMA_VERSION = 1
+
+# Largest clips x dim of one synthetic video (--phases x --max-len x --dim):
+# 2**27 float64 values, 1 GiB.
+SYNTH_MAX_VALUES = 2**27
 
 # One distinct color per phase id (cycled); the last entry is reused for
 # the uncovered-clip sentinel when it appears.
@@ -198,17 +204,24 @@ def cmd_synth(args) -> int:
     _validate_common(args)
     if args.count < 0:
         raise UsageError("--count must be >= 0")
-    cfg = SynthConfig(
-        num_phases=args.phases,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        dim=args.dim,
-        noise_sigma=args.noise,
-        blend_width=args.blend,
-        dropout_prob=args.dropout,
-        clip_len_frames=args.clip_len,
-        fps=args.fps,
-    )
+    try:
+        cfg = SynthConfig(
+            num_phases=args.phases,
+            min_len=args.min_len,
+            max_len=args.max_len,
+            dim=args.dim,
+            noise_sigma=args.noise,
+            blend_width=args.blend,
+            dropout_prob=args.dropout,
+            clip_len_frames=args.clip_len,
+            fps=args.fps,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    values = cfg.num_phases * cfg.max_len * cfg.dim
+    if values > SYNTH_MAX_VALUES:
+        raise UsageError(f"--phases x --max-len x --dim is {values} feature values per video, "
+                         f"above the limit of {SYNTH_MAX_VALUES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (seq, labels) in enumerate(synth_dataset(cfg, args.count, args.seed)):
@@ -258,13 +271,15 @@ def cmd_train(args) -> int:
         "layers": args.layers,
         "seed": args.seed,
     }
-    _meta_path(ckpt_dir, args.phase).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    with open(ckpt_dir / f"phase{args.phase}_train_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "video", "begin_loss", "end_loss", "begin_error", "end_error"])
-        for row in log_rows:
-            writer.writerow([row.episode, stems[row.video], f"{row.begin_loss:.6f}",
-                             f"{row.end_loss:.6f}", row.begin_error, row.end_error])
+    write_atomic(_meta_path(ckpt_dir, args.phase),
+                 (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+    log = io.StringIO(newline="")
+    writer = csv.writer(log)
+    writer.writerow(["episode", "video", "begin_loss", "end_loss", "begin_error", "end_error"])
+    for row in log_rows:
+        writer.writerow([row.episode, stems[row.video], f"{row.begin_loss:.6f}",
+                         f"{row.end_loss:.6f}", row.begin_error, row.end_error])
+    write_atomic(ckpt_dir / f"phase{args.phase}_train_log.csv", log.getvalue().encode("utf-8"))
     print(f"phase {args.phase}: trained on {len(dataset)} video(s), "
           f"checkpoints in {ckpt_dir}")
     return 0
@@ -274,15 +289,19 @@ def cmd_train(args) -> int:
 # infer
 # ---------------------------------------------------------------------------
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise PhaseseekError(f"{path}: not a JSON document: {exc}") from exc
+
+
 def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
     """One phase's frozen policy and fixed initialization, checked against its meta JSON."""
     meta_path = _meta_path(ckpt_dir, phase)
     if not meta_path.exists():
         raise PhaseseekError(f"missing checkpoint metadata for phase {phase}: {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise PhaseseekError(f"{meta_path}: not a JSON document: {exc}") from exc
+    meta = _read_json(meta_path)
     if not isinstance(meta, dict):
         raise PhaseseekError(f"{meta_path}: expected a JSON object")
 
@@ -411,6 +430,15 @@ def cmd_infer(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+def _read_coverage(path: Path) -> float:
+    """The ``coverage`` an ``infer`` transitions JSON records: a number in [0, 1]."""
+    doc = _read_json(path)
+    value = doc.get("coverage") if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise PhaseseekError(f"{path}: coverage is missing or not a number in [0, 1]: {value!r}")
+    return float(value)
+
+
 def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     gt_files = sorted(gt_dir.glob("*.csv"))
@@ -426,7 +454,7 @@ def cmd_eval(args) -> int:
         coverage = None
         trans_path = pred_dir / f"{gt_path.stem}.transitions.json"
         if trans_path.exists():
-            coverage = float(json.loads(trans_path.read_text(encoding="utf-8"))["coverage"])
+            coverage = _read_coverage(trans_path)
         reports.append(evaluate_video(pred.labels, gt.labels, video=gt_path.stem,
                                       coverage=coverage))
     report_path = Path(args.report)

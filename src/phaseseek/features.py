@@ -11,6 +11,7 @@ for desk-scale experiments and tests.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,6 +169,21 @@ class SynthConfig:
             raise ValueError("blend_width must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a reader sees the old file or the new one,
+    never part of either, and a failed write leaves no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

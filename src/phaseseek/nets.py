@@ -8,20 +8,19 @@ input, forget, cell and output gates' weights column-stacked in the order
 (input, forget, output, cell), which keeps the three sigmoid gates in one
 contiguous block.
 
-The batched forward keeps per-step activations in ``(steps, batch, ...)``
-layout so each time slice is contiguous; ``backward`` replays the stack in
-reverse (through every step and layer) and returns gradients shaped exactly
-like :func:`param_list`.  Training code is the single writer of a network's
-arrays; frozen networks are safe to share across threads.
-
-For inference, :func:`stack_networks` copies frozen networks of one
-geometry into a :class:`NetworkStack`, and :func:`forward_stack` evaluates
-all of them in one step-major pass whose Q-values equal ``forward_batch``'s
-bit for bit.
+One kernel evaluates and differentiates networks: :func:`stack_networks`
+copies networks of one geometry into a gate-major :class:`NetworkStack`,
+:func:`forward_stack` evaluates all of them in one pass, and, when asked to
+cache, keeps every step's activations for :func:`backward_stack`, which
+returns gradients shaped exactly like :func:`param_list`.  :func:`forward`
+and :func:`backward` are its one-network wrappers.  Training code is the
+single writer of a network's arrays; frozen networks are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhaseseekError
+from .features import write_atomic
 
 FC1_UNITS = 50
 NUM_ACTIONS = 2
@@ -129,128 +129,12 @@ def copy_params_into(src: QNetwork, dst: QNetwork) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward
+# The LSTM kernel: stacked networks, forward and backward
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ForwardCache:
-    net: QNetwork
-    x_steps: int
-    batch: int
-    layer_inputs: list[np.ndarray]   # (T, B, din) per layer
-    gates: list[np.ndarray]          # (T, B, 4H) post-activation
-    cells: list[np.ndarray]          # (T, B, H)
-    tanh_cells: list[np.ndarray]     # (T, B, H)
-    hiddens: list[np.ndarray]        # (T, B, H)
-    h_last: np.ndarray               # (B, H)
-    a1: np.ndarray                   # (B, FC1_UNITS)
-
-
-def _take(scratch: dict | None, key, shape) -> np.ndarray:
-    # Reusable uninitialized buffer.  A scratch dict amortizes large-array
-    # allocation across repeated calls of identical geometry (the training
-    # hot path); without one, buffers are freshly allocated.
-    if scratch is None:
-        return np.empty(shape)
-    arr = scratch.get(key)
-    if arr is None or arr.shape != shape:
-        arr = np.empty(shape)
-        scratch[key] = arr
-    return arr
-
-
-def _gate_activations(z: np.ndarray, h: int) -> None:
-    # In place: sigmoid on the contiguous i, f, o block, tanh on the g block.
-    s = z[:, : 3 * h]
-    np.negative(s, out=s)
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    np.divide(1.0, s, out=s)
-    g = z[:, 3 * h:]
-    np.tanh(g, out=g)
-
-
-def forward_batch(
-    net: QNetwork,
-    x: np.ndarray,
-    need_cache: bool = True,
-    scratch: dict | None = None,
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """Evaluate a batch of sequences; ``x`` is (B, T, D) or (T, D).
-
-    Returns Q-values of shape (B, NUM_ACTIONS) and, when requested, the
-    activation record consumed by :func:`backward_batch`.  Passing a
-    ``scratch`` dict reuses internal buffers across calls: the returned
-    cache is then only valid until the next cached call with the same
-    scratch, and the caller must be the sole user of that dict.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 2
-    if squeezed:
-        x = x[None]
-    b, t, d = x.shape
-    if d != net.input_dim:
-        raise PhaseseekError(
-            f"input dim {d} does not match network input dim {net.input_dim}"
-        )
-    h = net.hidden_dim
-    tag = "fc" if need_cache else "fn"  # cached/uncached buffers never alias
-
-    seq = np.ascontiguousarray(x.transpose(1, 0, 2))  # (T, B, D)
-    layer_inputs, all_gates, all_cells, all_tcells, all_hiddens = [], [], [], [], []
-    rec = _take(scratch, (tag, "rec"), (b, 4 * h))
-    for li, layer in enumerate(net.layers):
-        gates = _take(scratch, (tag, "gates", li), (t, b, 4 * h))
-        np.dot(seq.reshape(t * b, -1), layer.w_in, out=gates.reshape(t * b, 4 * h))
-        gates += layer.bias
-        cells = _take(scratch, (tag, "cells", li), (t, b, h))
-        tcells = _take(scratch, (tag, "tcells", li), (t, b, h))
-        hiddens = _take(scratch, (tag, "hiddens", li), (t, b, h))
-        h_prev = np.zeros((b, h))
-        c_prev = np.zeros((b, h))
-        for step in range(t):
-            z = gates[step]
-            np.dot(h_prev, layer.w_rec, out=rec)
-            z += rec
-            _gate_activations(z, h)
-            c = cells[step]
-            np.multiply(z[:, h: 2 * h], c_prev, out=c)          # forget * c_prev
-            c += z[:, :h] * z[:, 3 * h:]                        # + input * cell
-            tc = tcells[step]
-            np.tanh(c, out=tc)
-            np.multiply(z[:, 2 * h: 3 * h], tc, out=hiddens[step])  # output * tanh(c)
-            h_prev = hiddens[step]
-            c_prev = c
-        if need_cache:
-            layer_inputs.append(seq)
-            all_gates.append(gates)
-            all_cells.append(cells)
-            all_tcells.append(tcells)
-            all_hiddens.append(hiddens)
-        seq = hiddens
-
-    h_last = seq[-1]
-    a1 = np.tanh(h_last @ net.fc1_w + net.fc1_b)
-    q = a1 @ net.fc2_w + net.fc2_b
-
-    cache = None
-    if need_cache:
-        cache = ForwardCache(
-            net, t, b, layer_inputs, all_gates, all_cells, all_tcells, all_hiddens,
-            h_last, a1,
-        )
-    return (q[0] if squeezed else q), cache
-
-
-def forward(net: QNetwork, state: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Single-state forward pass on a ``(2L, D)`` state; returns (q-values, activation cache)."""
-    return forward_batch(net, state, need_cache=True)
-
 
 @dataclass(frozen=True)
 class NetworkStack:
-    """Frozen copies of N networks of one geometry, laid out for inference.
+    """Copies of N networks of one geometry, laid out for the kernel.
 
     Each entry of ``layers`` holds one layer of every network in gate-major
     blocks: ``w_in`` (N, 4, din, H), ``w_rec`` (N, 4, H, H) and ``bias``
@@ -317,15 +201,63 @@ def stack_networks(nets: list[QNetwork]) -> NetworkStack:
     )
 
 
-def forward_stack(stack: NetworkStack, x: np.ndarray) -> np.ndarray:
+def _gate_minor(w: np.ndarray) -> np.ndarray:
+    # Stacked (N, 4, rows, H) weights back in QNetwork layout: (N, rows, 4H),
+    # sigmoid blocks un-negated.
+    n, _, rows, h = w.shape
+    out = np.empty((n, rows, 4, h))
+    np.copyto(out, w.transpose(0, 2, 1, 3))
+    np.negative(out[:, :, :3], out=out[:, :, :3])
+    return out.reshape(n, rows, 4 * h)
+
+
+def _arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    # Uninitialized arrays carved from one block.  The allocator reuses a
+    # freed block of this size, so repeated passes of one geometry (one per
+    # training update) do not touch fresh pages; separate arrays did, and
+    # cost about 3 ms per update.
+    sizes = [math.prod(s) for s in shapes]
+    block = np.empty(sum(sizes))
+    out, offset = [], 0
+    for shape, size in zip(shapes, sizes):
+        out.append(block[offset: offset + size].reshape(shape))
+        offset += size
+    return out
+
+
+@dataclass
+class StackCache:
+    """Every step's activations of one cached :func:`forward_stack` pass.
+
+    The arrays are views of one block allocated for the pass; ``grad_z`` and
+    ``grad_h`` are :func:`backward_stack`'s room in it.
+    """
+
+    stack: NetworkStack
+    x: np.ndarray           # (N, T, B, D) inputs, step-major
+    gates: np.ndarray       # (layers, N, T, 4, B, H) i, f, o, g after activation
+    cells: np.ndarray       # (layers, N, T, B, H)
+    tanh_cells: np.ndarray  # (layers, N, T, B, H)
+    hiddens: np.ndarray     # (layers, N, T, B, H)
+    a1: np.ndarray          # (N, B, FC1_UNITS)
+    grad_z: np.ndarray      # (N, T, B, 4H) gate-minor, like the QNetwork columns
+    grad_h: np.ndarray      # (N, T, B, H)
+    owner: QNetwork | None = None  # the network :func:`forward` evaluated
+
+
+def forward_stack(stack: NetworkStack, x: np.ndarray, cache: bool = False):
     """Q-values (N, B, NUM_ACTIONS) of every stacked network on its own batch.
 
     ``x`` is (N, B, T, D): network n evaluates ``x[n]``.  The pass runs
     step-major: at each step every layer of every network advances with one
-    ``np.matmul`` per weight block into an (N, 4, B, H) buffer, so each
+    ``np.matmul`` per weight block into an (N, 4, B, H) gate block, so each
     elementwise op works on contiguous per-network blocks.  Each network's
-    Q-values are bit-identical to ``forward_batch`` on its own batch when B
-    is a multiple of 4 (the BLAS micro-kernel height) and at most 256.
+    Q-values are bit-identical to the row-major reference kernel in
+    ``tests/reference_kernel.py`` when B is a multiple of 4 (the BLAS
+    micro-kernel height) and at most 256.
+
+    With ``cache=True`` it keeps every step's activations and returns
+    ``(q, StackCache)`` for :func:`backward_stack`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or len(x) != len(stack):
@@ -335,156 +267,157 @@ def forward_stack(stack: NetworkStack, x: np.ndarray) -> np.ndarray:
         raise PhaseseekError(
             f"input dim {d} does not match network input dim {stack.input_dim}"
         )
-    h = stack.hidden_dim
-    seq = x.transpose(2, 0, 1, 3)[:, :, None]  # (T, N, 1, B, D) view
-    z = np.empty((n, 4, b, h))
+    h, depth = stack.hidden_dim, len(stack.layers)
+    # An uncached pass keeps only the current step, and its layers share the
+    # gate and tanh(cell) blocks.
+    kept, shared = (t, depth) if cache else (1, 1)
+    shapes = [(shared, n, kept, 4, b, h), (depth, n, kept, b, h), (shared, n, kept, b, h),
+              (depth, n, kept, b, h)]
+    if cache:
+        shapes += [(n, t, b, d), (n, t, b, 4 * h), (n, t, b, h)]
+    gates, cells, tcells, hiddens, *cache_room = _arrays(shapes)
+    seq = x.transpose(0, 2, 1, 3)  # (N, T, B, D) view
+    if cache:  # kept contiguous for the backward's weight gradients
+        cache_room[0][...] = seq
+        seq = cache_room[0]
     rec = np.empty((n, 4, b, h))
     prod = np.empty((n, b, h))
-    cells = np.zeros((len(stack.layers), n, b, h))
-    hiddens = np.zeros((len(stack.layers), n, 1, b, h))
-    sig, f_gate, o_gate, g_gate = z[:, :3], z[:, 1], z[:, 2], z[:, 3]
+    # Views of each layer's blocks at each kept step, built once, so an
+    # uncached pass reuses the same views at every step.
+    blocks = [[(cells[li, :, k], hiddens[li, :, k, None], hiddens[li, :, k], z, z[:, :3],
+                z[:, 0], z[:, 1], z[:, 2], z[:, 3], tcells[li % shared, :, k])
+               for k, z in enumerate(gates[li % shared].transpose(1, 0, 2, 3, 4))]
+              for li in range(depth)]
+    c_zero = np.zeros((n, b, h))
     with np.errstate(over="ignore"):
         for step in range(t):
-            inp = seq[step]
-            for layer, c, hid in zip(stack.layers, cells, hiddens):
+            k, k_prev = (step, step - 1) if cache else (0, 0)
+            inp = seq[:, step, None]
+            for layer, layer_blocks in zip(stack.layers, blocks):
+                c, hid, hid_out, z, sig, i_gate, f_gate, o_gate, g_gate, tc = layer_blocks[k]
+                c_prev, hid_prev = layer_blocks[k_prev][:2]
                 np.matmul(inp, layer.w_in, out=z)
                 z += layer.bias
                 if step:  # the state starts at zero: no recurrent term at step 0
-                    np.matmul(hid, layer.w_rec, out=rec)
+                    np.matmul(hid_prev, layer.w_rec, out=rec)
                     z += rec
                 np.exp(sig, out=sig)  # sigmoid of the stored -z
                 sig += 1.0
                 np.divide(1.0, sig, out=sig)
                 np.tanh(g_gate, out=g_gate)
-                c *= f_gate
-                np.multiply(z[:, 0], g_gate, out=prod)
+                np.multiply(f_gate, c_prev if step else c_zero, out=c)
+                np.multiply(i_gate, g_gate, out=prod)
                 c += prod
-                np.tanh(c, out=prod)
-                np.multiply(o_gate, prod, out=hid[:, 0])
+                np.tanh(c, out=tc)
+                np.multiply(o_gate, tc, out=hid_out)
                 inp = hid
-    a1 = np.tanh(hiddens[-1][:, 0] @ stack.fc1_w + stack.fc1_b)
-    return a1 @ stack.fc2_w + stack.fc2_b
+    a1 = np.tanh(hiddens[-1][:, -1] @ stack.fc1_w + stack.fc1_b)
+    q = a1 @ stack.fc2_w + stack.fc2_b
+    if not cache:
+        return q
+    return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1, *cache_room[1:])
 
 
-def backward_batch(
-    net: QNetwork, cache: ForwardCache, dq: np.ndarray, scratch: dict | None = None
-) -> list[np.ndarray]:
-    """Exact gradients of sum(dq * q) w.r.t. every parameter.
+def backward_stack(stack: NetworkStack, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
+    """Exact gradients of sum(dq * q) w.r.t. every stacked network's parameters.
 
-    ``cache`` must come from a ``forward_batch`` call on the same network;
-    gradients are returned in :func:`param_list` order.  With a ``scratch``
-    dict the returned arrays are reused by the next call, so they must be
-    consumed before then.
+    ``cache`` must come from a cached ``forward_stack`` pass on ``stack``;
+    ``dq`` is (N, B, NUM_ACTIONS).  Returns one array per
+    parameter, in :func:`param_list` order and QNetwork layout, with a
+    leading N axis.  Each step's gate gradients are written gate-minor, so
+    the products over 4H sum in the QNetwork column order.
     """
-    if cache is None or cache.net is not net:
-        raise PhaseseekError("cache does not belong to this network")
+    if cache is None or cache.stack is not stack:
+        raise PhaseseekError("cache does not belong to this stack")
+    n, t, b, _ = cache.x.shape
+    h = stack.hidden_dim
     dq = np.asarray(dq, dtype=np.float64)
-    if dq.ndim == 1:
-        dq = dq[None]
-    b, t, h = cache.batch, cache.x_steps, net.hidden_dim
-    if dq.shape != (b, NUM_ACTIONS):
-        raise PhaseseekError(f"dq shape {dq.shape} does not match batch {b}")
+    if dq.shape != (n, b, NUM_ACTIONS):
+        raise PhaseseekError(f"dq shape {dq.shape} does not match the ({n}, {b}) batch")
 
     # Dense head.
-    a1 = cache.a1
-    d_fc2_w = a1.T @ dq
-    d_fc2_b = dq.sum(axis=0)
-    da1 = dq @ net.fc2_w.T
+    a1, h_last = cache.a1, cache.hiddens[-1][:, -1]
+    d_fc2_w = a1.transpose(0, 2, 1) @ dq
+    d_fc2_b = dq.sum(axis=1)
+    da1 = dq @ stack.fc2_w.transpose(0, 2, 1)
     dz1 = da1 * (1.0 - a1 * a1)
-    d_fc1_w = cache.h_last.T @ dz1
-    d_fc1_b = dz1.sum(axis=0)
-    dh_last = dz1 @ net.fc1_w.T
+    d_fc1_w = h_last.transpose(0, 2, 1) @ dz1
+    d_fc1_b = dz1.sum(axis=1)
+    dh_last = dz1 @ stack.fc1_w.transpose(0, 2, 1)
 
     # Upstream gradient w.r.t. the top layer's hidden sequence.
-    d_seq = _take(scratch, ("bw", "dseq"), (t, b, h))
+    d_seq, dz = cache.grad_h, cache.grad_z
     d_seq.fill(0.0)
-    d_seq[-1] = dh_last
+    d_seq[:, -1] = dh_last
+    dz_steps = dz.reshape(n, t, b, 4, h).transpose(0, 1, 3, 2, 4)  # (N, T, 4, B, H) view
+    fac = np.empty((n, 4, b, h))  # a step's factors that do not depend on dc
+    dh, dh_rec, dc, dc_o = (np.empty((n, b, h)) for _ in range(4))
 
-    d_z = _take(scratch, ("bw", "dz"), (t, b, 4 * h))  # shared by all layers
-    dh = _take(scratch, ("bw", "dh"), (b, h))
-    dh_rec = _take(scratch, ("bw", "dhrec"), (b, h))
-    dc = _take(scratch, ("bw", "dc"), (b, h))
-    t1 = _take(scratch, ("bw", "t1"), (b, h))
-    t2 = _take(scratch, ("bw", "t2"), (b, h))
-
-    grads_per_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for li in range(net.num_layers - 1, -1, -1):
-        layer = net.layers[li]
-        gates = cache.gates[li]
-        cells = cache.cells[li]
-        tcells = cache.tanh_cells[li]
-        hiddens = cache.hiddens[li]
-        x_in = cache.layer_inputs[li]
-        w_rec_t = np.ascontiguousarray(layer.w_rec.T)
-
+    grads = [d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b]
+    for li in range(len(stack.layers) - 1, -1, -1):
+        layer = stack.layers[li]
+        gates, cells, tcells = cache.gates[li], cache.cells[li], cache.tanh_cells[li]
+        w_rec_t = np.ascontiguousarray(_gate_minor(layer.w_rec).transpose(0, 2, 1))
         dh_rec.fill(0.0)
         dc.fill(0.0)
         for step in range(t - 1, -1, -1):
-            z = gates[step]
-            gi, gf, go, gg = z[:, :h], z[:, h: 2 * h], z[:, 2 * h: 3 * h], z[:, 3 * h:]
-            tc = tcells[step]
-            np.add(d_seq[step], dh_rec, out=dh)
-            # dc += dh * o * (1 - tanh(c)^2)
-            np.multiply(tc, tc, out=t1)
-            np.subtract(1.0, t1, out=t1)
-            t1 *= go
-            t1 *= dh
-            dc += t1
-            dzs = d_z[step]
-            # input gate: dz_i = dc * g * i(1-i)
-            np.subtract(1.0, gi, out=t2)
-            t2 *= gi
-            t2 *= gg
-            t2 *= dc
-            dzs[:, :h] = t2
-            # forget gate: dz_f = dc * c_prev * f(1-f)
-            np.subtract(1.0, gf, out=t2)
-            t2 *= gf
+            g, tc = gates[:, step], tcells[:, step]
+            np.subtract(1.0, g[:, :3], out=fac[:, :3])
+            fac[:, :3] *= g[:, :3]                    # s(1-s) of i, f, o
+            fac[:, 0] *= g[:, 3]                      # input: i(1-i) * g
             if step > 0:
-                t2 *= cells[step - 1]
+                fac[:, 1] *= cells[:, step - 1]       # forget: f(1-f) * c_prev
             else:
-                t2[...] = 0.0
-            t2 *= dc
-            dzs[:, h: 2 * h] = t2
-            # output gate: dz_o = dh * tanh(c) * o(1-o)
-            np.subtract(1.0, go, out=t2)
-            t2 *= go
-            t2 *= tc
-            t2 *= dh
-            dzs[:, 2 * h: 3 * h] = t2
-            # cell candidate: dz_g = dc * i * (1-g^2)
-            np.multiply(gg, gg, out=t2)
-            np.subtract(1.0, t2, out=t2)
-            t2 *= gi
-            t2 *= dc
-            dzs[:, 3 * h:] = t2
-            np.dot(dzs, w_rec_t, out=dh_rec)
-            dc *= gf
+                fac[:, 1] = 0.0
+            fac[:, 2] *= tc                           # output: o(1-o) * tanh(c)
+            np.multiply(g[:, 3], g[:, 3], out=fac[:, 3])
+            np.subtract(1.0, fac[:, 3], out=fac[:, 3])
+            fac[:, 3] *= g[:, 0]                      # cell candidate: (1-g^2) * i
+            np.multiply(tc, tc, out=dc_o)
+            np.subtract(1.0, dc_o, out=dc_o)
+            dc_o *= g[:, 2]                           # (1 - tanh(c)^2) * o
+            np.add(d_seq[:, step], dh_rec, out=dh)
+            dc_o *= dh
+            dc += dc_o
+            dzs = dz_steps[:, step]
+            np.multiply(fac[:, :2], dc[:, None], out=dzs[:, :2])
+            np.multiply(fac[:, 2], dh, out=dzs[:, 2])
+            np.multiply(fac[:, 3], dc, out=dzs[:, 3])
+            if step > 0:  # step 0's recurrent gradient would reach the zero initial state
+                np.matmul(dz[:, step], w_rec_t, out=dh_rec)
+                dc *= g[:, 1]
 
-        dz_flat = d_z.reshape(t * b, 4 * h)
+        dz_flat = dz.reshape(n, t * b, 4 * h)
         # Recurrent weights see the hidden state one step earlier; step 0
         # contributes nothing (zero initial hidden state).
-        d_w_rec = _take(scratch, ("bw", "dwrec", li), (h, 4 * h))
-        np.dot(hiddens[: t - 1].reshape((t - 1) * b, h).T, dz_flat[b:], out=d_w_rec)
-        din = x_in.shape[2]
-        d_w_in = _take(scratch, ("bw", "dwin", li), (din, 4 * h))
-        np.dot(x_in.reshape(t * b, din).T, dz_flat, out=d_w_in)
-        d_bias = dz_flat.sum(axis=0)
-        grads_per_layer.append((d_w_in, d_w_rec, d_bias))
+        h_prev = cache.hiddens[li][:, : t - 1].reshape(n, (t - 1) * b, h)
+        d_w_rec = h_prev.transpose(0, 2, 1) @ dz_flat[:, b:]
+        x_in = (cache.x if li == 0 else cache.hiddens[li - 1]).reshape(n, t * b, -1)
+        d_w_in = x_in.transpose(0, 2, 1) @ dz_flat
+        d_bias = dz_flat.sum(axis=1)
+        grads[:0] = (d_w_in, d_w_rec, d_bias)
         if li > 0:
             # Lower layer's hidden dim equals h, so d_seq can be rebuilt in place.
-            np.dot(dz_flat, layer.w_in.T, out=d_seq.reshape(t * b, h))
-
-    grads: list[np.ndarray] = []
-    for d_w_in, d_w_rec, d_bias in reversed(grads_per_layer):
-        grads.extend((d_w_in, d_w_rec, d_bias))
-    grads.extend((d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b))
+            np.matmul(dz_flat, _gate_minor(layer.w_in).transpose(0, 2, 1),
+                      out=d_seq.reshape(n, t * b, h))
     return grads
 
 
-def backward(net: QNetwork, cache: ForwardCache, dq: np.ndarray) -> list[np.ndarray]:
-    """Single-state gradient, matching :func:`forward`."""
-    return backward_batch(net, cache, dq)
+def forward(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, StackCache]:
+    """Cached forward of one network on a ``(B, T, D)`` batch or one ``(T, D)``
+    state; returns (q-values, cache for :func:`backward`)."""
+    x = np.asarray(x, dtype=np.float64)
+    q, cache = forward_stack(stack_networks([net]), x.reshape((1, -1) + x.shape[-2:]), cache=True)
+    cache.owner = net
+    return q.reshape(x.shape[:-2] + (NUM_ACTIONS,)), cache
+
+
+def backward(net: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum(dq * q) after :func:`forward`, in :func:`param_list` order."""
+    if cache is None or cache.owner is not net:
+        raise PhaseseekError("cache does not belong to this network")
+    dq = np.asarray(dq, dtype=np.float64).reshape(1, -1, NUM_ACTIONS)
+    return [g[0] for g in backward_stack(cache.stack, cache, dq)]
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +483,13 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: QNetwork, path) -> None:
-    """Write dims header plus all parameters as little-endian float64."""
+    """Write dims header plus all parameters as little-endian float64, atomically."""
     header = _CKPT_HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, net.input_dim, net.hidden_dim, net.num_layers,
         FC1_UNITS, NUM_ACTIONS,
     )
     blobs = [p.astype("<f8").tobytes(order="C") for p in param_list(net)]
-    Path(path).write_bytes(header + b"".join(blobs))
+    write_atomic(path, header + b"".join(blobs))
 
 
 def load_checkpoint(path) -> QNetwork:

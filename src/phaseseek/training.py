@@ -17,7 +17,7 @@ against the fresh begin position).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,14 @@ from .nets import (
     QNetwork,
     adam_init,
     adam_step,
-    backward_batch,
+    backward_stack,
     clone_params,
     copy_params_into,
-    forward_batch,
+    forward_stack,
     huber_loss,
     init_qnetwork,
     param_list,
+    stack_networks,
 )
 
 logger = logging.getLogger(__name__)
@@ -199,7 +200,11 @@ def select_action(
     """Epsilon-greedy action on a ``(2L, D)`` state; greedy ties resolve to Right."""
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(2))
-    q, _ = forward_batch(net, state, need_cache=False)
+    # Four rows, the state and zero padding: its Q-values then equal the
+    # ones any padded batch of the kernel gives it (see forward_stack).
+    x = np.zeros((1, 4) + np.shape(state))
+    x[0, 0] = state
+    q = forward_stack(stack_networks([net]), x)[0, 0]
     return ACTION_RIGHT if q[ACTION_RIGHT] >= q[ACTION_LEFT] else ACTION_LEFT
 
 
@@ -212,21 +217,21 @@ def dqn_update(
     gamma: float,
     adam: AdamState,
     rng: np.random.Generator,
-    scratch: dict | None = None,
 ) -> float | None:
     """One Bellman regression step; returns batch loss, or None when the
     memory holds fewer than ``batch`` records (no update performed).
 
-    The sampled window rows are gathered from ``padded``.  ``scratch`` is an
-    optional private buffer dict reused across updates of the same agent
-    (see ``forward_batch``).
+    The sampled window rows are gathered from ``padded``.  The online
+    network runs one cached kernel pass and its backward; the target network
+    runs one uncached pass, only when ``gamma`` is not zero.
     """
     if len(memory) < batch:
         return None
     states, next_states, actions, rewards = memory.sample(batch, rng)
-    q, cache = forward_batch(net, padded[states], need_cache=True, scratch=scratch)
+    stack = stack_networks([net])
+    (q,), cache = forward_stack(stack, padded[states][None], cache=True)
     if gamma != 0.0:
-        q_next, _ = forward_batch(target_net, padded[next_states], need_cache=False, scratch=scratch)
+        q_next = forward_stack(stack_networks([target_net]), padded[next_states][None])[0]
         targets = rewards + gamma * q_next.max(axis=1)
     else:
         targets = rewards.astype(np.float64)
@@ -234,8 +239,8 @@ def dqn_update(
     losses, dpred = huber_loss(q[rows, actions], targets)
     dq = np.zeros((batch, q.shape[1]))
     dq[rows, actions] = dpred / batch
-    grads = backward_batch(net, cache, dq, scratch=scratch)
-    adam_step(param_list(net), grads, adam)
+    grads = backward_stack(stack, cache, dq[None])
+    adam_step(param_list(net), [g[0] for g in grads], adam)
     return float(losses.mean())
 
 
@@ -267,7 +272,6 @@ class _AgentSlot:
     loss_sum: float = 0.0
     loss_count: int = 0
     pos: int = 0
-    scratch: dict = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, input_dim: int, cfg: TrainConfig, seed: int) -> _AgentSlot:
@@ -336,8 +340,7 @@ def train(
                     reward = compute_reward(slot.pos, new_pos, slot.gt)
                     slot.memory.push(rows, next_rows, action, reward)
                     loss = dqn_update(slot.net, slot.target, slot.memory, padded,
-                                      cfg.batch, cfg.gamma, slot.adam, rng,
-                                      scratch=slot.scratch)
+                                      cfg.batch, cfg.gamma, slot.adam, rng)
                     if loss is not None:
                         slot.loss_sum += loss
                         slot.loss_count += 1

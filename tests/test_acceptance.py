@@ -30,7 +30,7 @@ from phaseseek.metrics import (
     frame_metrics,
     ward_categorize,
 )
-from phaseseek.nets import forward_batch, backward, forward, init_qnetwork, param_list
+from phaseseek.nets import backward, forward, init_qnetwork, param_list
 from phaseseek.training import TrainConfig, train
 
 NUM_PHASES = 3
@@ -193,9 +193,9 @@ class TestCriterion4Gradients:
                     ix = it.multi_index
                     orig = p[ix]
                     p[ix] = orig + 1e-5
-                    up = float(forward_batch(net, x, need_cache=False)[0] @ upstream)
+                    up = float(forward(net, x)[0] @ upstream)
                     p[ix] = orig - 1e-5
-                    down = float(forward_batch(net, x, need_cache=False)[0] @ upstream)
+                    down = float(forward(net, x)[0] @ upstream)
                     p[ix] = orig
                     fd = (up - down) / 2e-5
                     rel = abs(fd - g[ix]) / max(abs(fd), abs(g[ix]), 1e-3)

@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,39 @@ class TestMalformedInputs:
         code, err = _run(["synth", "--config", cfg, "--out-dir", tmp_path / "out"])
         assert code == 1
         assert "run.cfg" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"coverage": 0.5, "note": "\xff"}', b"{}", b'{"coverage": null}', b"coverage: 0.5",
+        b'{"coverage": 1.5}', b'{"coverage": NaN}', b'{"coverage": true}', b"[0.5]",
+    ], ids=["not_utf8", "no_coverage", "null", "not_json", "above_1", "nan", "bool", "list"])
+    def test_eval_transitions_json(self, workspace, tmp_path, raw):
+        pred = tmp_path / "pred"
+        shutil.copytree(workspace / "data", pred)
+        (pred / "video_001.transitions.json").write_bytes(raw)
+        code, err = _run(["eval", "--pred-dir", pred, "--gt-dir", workspace / "data",
+                          "--report", tmp_path / "r.json"])
+        assert code == 2
+        assert "video_001.transitions.json" in err and "Traceback" not in err
+
+    def test_synth_too_large_rejected_before_allocating(self, tmp_path):
+        argv = ["synth", "--out-dir", str(tmp_path / "out"), "--min-len", "100000000",
+                "--max-len", "100000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 1 << 20
+        code, err = _run(argv)
+        assert code == 1
+        assert "--max-len" in err and "Traceback" not in err and "MemoryError" not in err
+
+    def test_synth_bad_lengths_are_usage_errors(self, tmp_path):
+        code, err = _run(["synth", "--out-dir", tmp_path / "out", "--min-len", "0"])
+        assert code == 1
+        assert "min_len" in err and "Traceback" not in err
 
     def test_trailing_feature_bytes(self, workspace, tmp_path):
         data = tmp_path / "data"

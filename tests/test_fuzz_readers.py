@@ -1,10 +1,11 @@
-"""Fuzzing of the feature-file and label-CSV readers.
+"""Fuzzing of the feature-file, label-CSV, checkpoint and checkpoint-meta readers.
 
 For arbitrary bytes each reader either returns or raises a
 ``PhaseseekError`` subclass (which the CLI maps to exit code 2), and never
 allocates more than 1 MB on the way, whatever sizes a header declares.
 """
 
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -13,18 +14,24 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseseek.cli import _load_policy
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import TRNF_MAGIC, load_features, load_labels
+from phaseseek.nets import CKPT_MAGIC, FC1_UNITS, NUM_ACTIONS, init_qnetwork, load_checkpoint, \
+    save_checkpoint
 
 PEAK_LIMIT = 1 << 20
 
 
-def _read(reader, raw: bytes) -> None:
+def _read(reader, raw: bytes, name: str = "input", setup=None) -> None:
     # Run ``reader`` on a file holding ``raw``; any exception other than a
-    # PhaseseekError propagates and fails the test.
+    # PhaseseekError propagates and fails the test.  ``setup`` may add
+    # files to the directory first.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input"
+        path = Path(tmp) / name
         path.write_bytes(raw)
+        if setup is not None:
+            setup(Path(tmp))
         tracemalloc.start()
         try:
             reader(path)
@@ -89,3 +96,68 @@ class TestLabelFileFuzz:
     @given(_label_csvs(), st.sampled_from([None, 1, 3]))
     def test_arbitrary_rows(self, raw, num_phases):
         _read(lambda path: load_labels(path, num_phases), raw)
+
+
+@st.composite
+def _qnet_files(draw):
+    # A .qnet header with arbitrary fields, then a payload near the size it
+    # declares (exact when the declared size is small).
+    d, h, m = draw(_dims), draw(_dims), draw(_dims)
+    version = draw(st.sampled_from([1, 1, 1, 2]))
+    fc1 = draw(st.sampled_from([FC1_UNITS, FC1_UNITS, 0, 2**32 - 1]))
+    actions = draw(st.sampled_from([NUM_ACTIONS, NUM_ACTIONS, 3]))
+    header = struct.pack("<4sIIIIII", CKPT_MAGIC, version, d, h, m, fc1, actions)
+    values = (d + h + 1) * 4 * h + max(m - 1, 0) * (2 * h + 1) * 4 * h
+    values += (h + 1) * FC1_UNITS + (FC1_UNITS + 1) * NUM_ACTIONS
+    size = 8 * values if 8 * values <= 4096 else draw(st.integers(0, 512))
+    size = max(size + draw(st.integers(-9, 9)), 0)
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.integers(-(2**70), 2**70),
+              st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_META_KEYS = ["window", "input_dim", "rho_begin", "rho_end", "phase", "hidden"]
+
+
+@st.composite
+def _meta_documents(draw):
+    # A checkpoint meta JSON: mostly an object over the meta keys with
+    # valid-looking and arbitrary values, sometimes any JSON value or bytes.
+    valid = {"window": 3, "input_dim": 3, "rho_begin": 0.1, "rho_end": 0.9}
+    doc = {key: draw(st.one_of(st.just(valid[key]), _json_values)) if key in valid
+           else draw(_json_values)
+           for key in draw(st.lists(st.sampled_from(_META_KEYS), max_size=6, unique=True))}
+    kind = draw(st.sampled_from(["object", "object", "value", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    return json.dumps(doc if kind == "object" else draw(_json_values)).encode()
+
+
+def _phase0_checkpoints(directory: Path) -> None:
+    # Valid begin/end networks for phase 0, input dim 3.
+    for role in ("begin", "end"):
+        save_checkpoint(init_qnetwork(3, 4, 1, seed=0), directory / f"phase0_{role}.qnet")
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=96))
+    def test_arbitrary_bytes(self, raw):
+        _read(load_checkpoint, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_qnet_files())
+    def test_arbitrary_headers(self, raw):
+        _read(load_checkpoint, raw)
+
+
+class TestMetaFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_meta_documents())
+    def test_arbitrary_documents(self, raw):
+        _read(lambda path: _load_policy(path.parent, 0), raw, name="phase0_meta.json",
+              setup=_phase0_checkpoints)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseseek import features
 from phaseseek.errors import PhaseseekError
 from phaseseek.nets import (
     FC1_UNITS,
@@ -15,10 +16,9 @@ from phaseseek.nets import (
     adam_init,
     adam_step,
     backward,
-    backward_batch,
+    backward_stack,
     clone_params,
     forward,
-    forward_batch,
     forward_stack,
     huber_loss,
     init_qnetwork,
@@ -28,6 +28,7 @@ from phaseseek.nets import (
     stack_networks,
     zero_qnetwork,
 )
+from reference_kernel import backward_batch, forward_batch
 
 
 def finite_difference_grads(net, x, dq, h=1e-5):
@@ -40,9 +41,9 @@ def finite_difference_grads(net, x, dq, h=1e-5):
             ix = it.multi_index
             orig = p[ix]
             p[ix] = orig + h
-            up = float(forward_batch(net, x, need_cache=False)[0] @ dq)
+            up = float(forward(net, x)[0] @ dq)
             p[ix] = orig - h
-            down = float(forward_batch(net, x, need_cache=False)[0] @ dq)
+            down = float(forward(net, x)[0] @ dq)
             p[ix] = orig
             g[ix] = (up - down) / (2 * h)
         grads.append(g)
@@ -105,7 +106,7 @@ class TestForward:
         net = init_qnetwork(4, 6, 2, seed=3)
         x = np.random.default_rng(4).normal(size=(5, 4))
         q1, cache = forward(net, x)
-        q2, _ = forward_batch(net, x, need_cache=False)
+        q2 = forward_stack(stack_networks([net]), x[None, None])[0, 0]
         np.testing.assert_array_equal(q1, q2)
 
     def test_dimension_mismatch_rejected(self):
@@ -113,18 +114,17 @@ class TestForward:
         with pytest.raises(PhaseseekError):
             forward(net, np.zeros((3, 5)))
 
-    def test_scratch_path_is_bit_identical(self):
+    def test_wrappers_match_reference_kernel(self):
         net = init_qnetwork(5, 7, 2, seed=8)
-        x = np.random.default_rng(5).normal(size=(3, 6, 5))
-        dq = np.random.default_rng(6).normal(size=(3, 2))
-        q_plain, cache_plain = forward_batch(net, x)
-        g_plain = backward_batch(net, cache_plain, dq)
-        scratch = {}
-        q_s, cache_s = forward_batch(net, x, scratch=scratch)
-        g_s = backward_batch(net, cache_s, dq, scratch=scratch)
-        np.testing.assert_array_equal(q_plain, q_s)
-        for a, b in zip(g_plain, g_s):
-            np.testing.assert_array_equal(a, b)
+        x = np.random.default_rng(5).normal(size=(4, 6, 5))
+        dq = np.random.default_rng(6).normal(size=(4, 2))
+        q_ref, cache_ref = forward_batch(net, x)
+        g_ref = backward_batch(net, cache_ref, dq)
+        for _ in range(2):
+            q, cache = forward(net, x)
+            assert q.tobytes() == q_ref.tobytes()
+            for a, b in zip(g_ref, backward(net, cache, dq)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestForwardStack:
@@ -136,7 +136,7 @@ class TestForwardStack:
         steps=st.integers(1, 10),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_to_forward_batch(self, geometry, count, batch, steps, seed):
+    def test_bit_identical_to_reference_kernel(self, geometry, count, batch, steps, seed):
         dim, hidden, layers = geometry
         nets = [init_qnetwork(dim, hidden, layers, seed=seed + i) for i in range(count)]
         x = np.random.default_rng(seed).normal(size=(count, batch, steps, dim))
@@ -170,6 +170,54 @@ class TestForwardStack:
     def test_bad_batch_shape_rejected(self, shape):
         with pytest.raises(PhaseseekError):
             forward_stack(stack_networks([init_qnetwork(3, 8, 1)]), np.zeros(shape))
+
+
+class TestBackwardStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from([(16, 64, 2), (3, 8, 1), (5, 7, 2)]),
+        batch=st.one_of(st.just(128), st.integers(1, 64).map(lambda k: 4 * k)),
+        steps=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_reference_kernel(self, geometry, batch, steps, seed):
+        # Q-values and every gradient, byte for byte, against the row-major
+        # reference kernel.
+        dim, hidden, layers = geometry
+        net = init_qnetwork(dim, hidden, layers, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, steps, dim))
+        dq = rng.normal(size=(batch, 2))
+        q_ref, cache_ref = forward_batch(net, x)
+        stack = stack_networks([net])
+        q, cache = forward_stack(stack, x[None], cache=True)
+        assert q[0].tobytes() == q_ref.tobytes()
+        grads = backward_stack(stack, cache, dq[None])
+        for g_ref, g in zip(backward_batch(net, cache_ref, dq), grads, strict=True):
+            assert g[0].tobytes() == g_ref.tobytes()
+
+    def test_stacked_networks_get_their_own_gradients(self):
+        nets = [init_qnetwork(3, 8, 2, seed=i) for i in range(3)]
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(3, 8, 4, 3))
+        dq = rng.normal(size=(3, 8, 2))
+        stack = stack_networks(nets)
+        _, cache = forward_stack(stack, x, cache=True)
+        grads = backward_stack(stack, cache, dq)
+        for i, net in enumerate(nets):
+            _, cache_ref = forward_batch(net, x[i])
+            for g_ref, g in zip(backward_batch(net, cache_ref, dq[i]), grads):
+                np.testing.assert_array_equal(g[i], g_ref)
+
+    def test_foreign_cache_and_bad_dq_rejected(self):
+        stack = stack_networks([init_qnetwork(3, 8, 1, seed=1)])
+        x = np.random.default_rng(3).normal(size=(1, 4, 5, 3))
+        _, cache = forward_stack(stack, x, cache=True)
+        with pytest.raises(PhaseseekError):
+            backward_stack(stack_networks([init_qnetwork(3, 8, 1, seed=1)]), cache,
+                           np.ones((1, 4, 2)))
+        with pytest.raises(PhaseseekError):
+            backward_stack(stack, cache, np.ones((1, 3, 2)))
 
 
 class TestBackward:
@@ -261,6 +309,32 @@ class TestAdam:
 
 
 class TestCloneAndCheckpoints:
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.qnet"
+        save_checkpoint(init_qnetwork(3, 4, 1, seed=1), path)
+        before = path.read_bytes()
+        real_open = open
+
+        class HalfWrite:  # writes half the bytes, then fails like a full disk
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(features, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(init_qnetwork(3, 4, 1, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.qnet"]
+
     def test_clone_is_independent(self):
         net = init_qnetwork(3, 4, 2, seed=5)
         copy = clone_params(net)
