@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -139,28 +140,33 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--init", choices=["fi", "rmi"], default="fi")
 
 
-def _train_config(args, phase: int) -> TrainConfig:
-    return TrainConfig(
-        episodes_max=args.episodes,
-        max_steps_per_video=args.max_steps,
-        batch=args.batch,
-        lr=args.lr,
-        gamma=args.gamma,
-        eps_start=args.eps_start,
-        eps_min=args.eps_min,
-        eps_decay=args.eps_decay,
-        target_sync_period=args.target_sync,
-        seed=args.seed + phase,
-        window_len=args.window,
-        hidden_dim=args.hidden,
-        num_layers=args.layers,
-        memory_capacity=args.memory,
-    )
+# The flag (parser dest) that sets each config field.
+_SYNTH_FLAGS = {"num_phases": "phases", "min_len": "min_len", "max_len": "max_len",
+                "dim": "dim", "noise_sigma": "noise", "blend_width": "blend",
+                "dropout_prob": "dropout", "clip_len_frames": "clip_len", "fps": "fps"}
+_TRAIN_FLAGS = {"episodes_max": "episodes", "max_steps_per_video": "max_steps",
+                "batch": "batch", "lr": "lr", "gamma": "gamma", "eps_start": "eps_start",
+                "eps_min": "eps_min", "eps_decay": "eps_decay",
+                "target_sync_period": "target_sync", "window_len": "window",
+                "hidden_dim": "hidden", "num_layers": "layers", "memory_capacity": "memory"}
+
+
+def _config(cls, flags: dict[str, str], args, **fixed):
+    """``cls`` with each field read from its flag; a ``ValueError`` becomes a
+    usage error that names the flags of the fields its message names."""
+    try:
+        return cls(**fixed, **{field: getattr(args, dest) for field, dest in flags.items()})
+    except ValueError as exc:
+        words = set(re.findall(r"\w+", str(exc)))
+        named = [f"--{dest.replace('_', '-')}" for field, dest in flags.items() if field in words]
+        raise UsageError(f"{', '.join(named)}: {exc}" if named else str(exc)) from exc
 
 
 def _validate_common(args) -> None:
     if args.phases < 1:
         raise UsageError("--phases must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
 
 
 def _video_stems(features_dir: Path) -> list[str]:
@@ -204,20 +210,7 @@ def cmd_synth(args) -> int:
     _validate_common(args)
     if args.count < 0:
         raise UsageError("--count must be >= 0")
-    try:
-        cfg = SynthConfig(
-            num_phases=args.phases,
-            min_len=args.min_len,
-            max_len=args.max_len,
-            dim=args.dim,
-            noise_sigma=args.noise,
-            blend_width=args.blend,
-            dropout_prob=args.dropout,
-            clip_len_frames=args.clip_len,
-            fps=args.fps,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _config(SynthConfig, _SYNTH_FLAGS, args)
     values = cfg.num_phases * cfg.max_len * cfg.dim
     if values > SYNTH_MAX_VALUES:
         raise UsageError(f"--phases x --max-len x --dim is {values} feature values per video, "
@@ -245,11 +238,11 @@ def cmd_train(args) -> int:
         raise UsageError("--window must be a positive odd number")
     if not 0 <= args.phase < args.phases:
         raise UsageError(f"--phase must lie in [0, {args.phases})")
+    cfg = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed + args.phase)
     features_dir, labels_dir = Path(args.features_dir), Path(args.labels_dir)
     stems, labeled = _load_dataset(features_dir, labels_dir, args.phases)
     dataset = [(seq, labels_to_transitions(labels)) for seq, labels in labeled]
     fi = fit_fi([(seq.num_clips, ts) for seq, ts in dataset], args.phase)
-    cfg = _train_config(args, args.phase)
     init = fi
     if args.init == "rmi":
         init = PredictionInit(_fit_clip_classifier(labeled, args).predict, fallback=fi)
@@ -334,7 +327,9 @@ def cmd_infer(args) -> int:
     single_phase = args.phase is not None
     if single_phase and not 0 <= args.phase < args.phases:
         raise UsageError(f"--phase must lie in [0, {args.phases})")
-    phases = [args.phase] if single_phase else list(range(args.phases))
+    if args.max_steps < 0:
+        raise UsageError("--max-steps must be >= 0")
+    phases = [args.phase] if single_phase else range(args.phases)
 
     ckpt_dir = Path(args.checkpoints_dir)
     policies, fis = {}, {}

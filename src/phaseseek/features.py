@@ -11,6 +11,7 @@ for desk-scale experiments and tests.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -163,12 +164,18 @@ class SynthConfig:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.blend_width < 0:
             raise ValueError("blend_width must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
+        # Both are stored in the .trnf header, as a uint32 and a float32.
+        if not 1 <= self.clip_len_frames < 2**32:
+            raise ValueError("clip_len_frames must lie in [1, 2**32)")
+        f32 = np.finfo(np.float32)
+        if not float(f32.tiny) <= self.fps <= float(f32.max):
+            raise ValueError("fps must be a finite positive float32 value")
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -181,27 +181,6 @@ class RolloutResult:
             raise ValueError("begin must not exceed end")
 
 
-class _AgentTracker:
-    # Follows one agent's position history and settles it once the history
-    # tail forms (p, p', p) with |p - p'| <= 1: either a genuine left/right
-    # oscillation or a double-clamped fixed point.  The settled position is
-    # min(p, p').
-    def __init__(self, pos: int):
-        self.history = [pos]
-        self.settled = False
-
-    @property
-    def pos(self) -> int:
-        return self.history[-1]
-
-    def record(self, pos: int) -> None:
-        self.history.append(pos)
-        h = self.history
-        if len(h) >= 3 and h[-1] == h[-3] and abs(h[-1] - h[-2]) <= 1:
-            self.history.append(min(h[-1], h[-2]))
-            self.settled = True
-
-
 # Batch geometry of every rollout forward pass.  OpenBLAS's x86-64 dgemm
 # rounds a product row differently when the row falls in a remainder
 # block of fewer than four rows (its micro-kernel height), and the 64x50
@@ -287,66 +266,6 @@ def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
     return _group_actions(group, [states])[0]
 
 
-class _Search:
-    # One (policy, video) search in flight inside rollout_many.  ``groups``
-    # collects the call's stack groups, keyed by network geometry and window
-    # length; each agent's network gets a (group, row) slot in one of them.
-    def __init__(self, policy: SearchPolicy, video: FeatureSequence, init_pos,
-                 groups: dict[tuple, _StackGroup]):
-        self.slots = {}
-        for role, net in ((ROLE_BEGIN, policy.begin_net), (ROLE_END, policy.end_net)):
-            if net.input_dim != video.dim:
-                raise PhaseseekError(f"video feature dim {video.dim} does not match "
-                                     f"network input dim {net.input_dim}")
-            key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
-            group = groups.setdefault(key, _StackGroup((2 * policy.window_len, video.dim)))
-            group.videos[id(video)] = video
-            self.slots[role] = (group, group.row(net))
-        p_b, p_e = sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos)
-        self.policy = policy
-        self.video = video
-        self.begin, self.end = _AgentTracker(p_b), _AgentTracker(p_e)
-        self.steps = 0
-
-    def move(self, role: str, action: int) -> None:
-        agent, partner = (self.begin, self.end) if role == ROLE_BEGIN else (self.end, self.begin)
-        agent.record(apply_action(agent.pos, action, self.video.num_clips,
-                                  partner=partner.pos, role=role))
-
-    @property
-    def settled(self) -> bool:
-        return self.begin.settled and self.end.settled
-
-    def result(self) -> RolloutResult:
-        # The clips of every window either agent occupied.
-        clips = window_rows(self.begin.history + self.end.history, self.policy.window_len)
-        return RolloutResult(
-            begin=self.begin.pos,
-            end=max(self.begin.pos, self.end.pos),
-            steps_taken=self.steps,
-            visited=set(clips[(clips >= 0) & (clips < self.video.num_clips)].tolist()),
-            converged=self.settled,
-        )
-
-
-def _decide(movers: list[tuple[_Search, str]]) -> np.ndarray:
-    # Greedy action per (search, role) mover: per group with movers, one
-    # gather of their states, and each network decides on its own movers'.
-    queued: dict[int, tuple[_StackGroup, list[list[int]]]] = {}
-    for k, (s, role) in enumerate(movers):
-        group, row = s.slots[role]
-        queued.setdefault(id(group), (group, [[] for _ in group.nets]))[1][row].append(k)
-    actions = np.empty(len(movers), dtype=np.int64)
-    for group, rows in queued.values():
-        centers = [(group.base[id(s.video)] + s.begin.pos, group.base[id(s.video)] + s.end.pos)
-                   for s in (movers[k][0] for ks in rows for k in ks)]
-        states = group.padded[window_rows(centers, group.window_len)]
-        acts = _group_actions(group, np.split(states, np.cumsum([len(ks) for ks in rows[:-1]])))
-        for ks, a in zip(rows, acts):
-            actions[ks] = a
-    return actions
-
-
 def rollout_many(
     searches: list[tuple[SearchPolicy, FeatureSequence, tuple[int, int]]],
     max_steps: int = 200,
@@ -360,30 +279,86 @@ def rollout_many(
     :func:`~phaseseek.nets.forward_stack` passes of at most 128 state rows
     evaluate them (one pass per round unless more rows wait).  Both agents
     of a search decide on the pre-move state; begin moves first and end is
-    clamped against begin's new position.  A settled agent stops moving but
-    its window still feeds the shared state.  A search leaves the batch
+    clamped against begin's new position.  An agent settles at min(p, p')
+    once its last three positions are (p, p', p) with |p - p'| <= 1: a
+    left/right oscillation or a double-clamped fixed point.  A settled
+    agent's window still feeds the shared state.  A search leaves the batch
     once both agents settle or after ``max_steps`` rounds; then
     ``converged`` is False and the current positions are reported.
-    ``visited`` holds the clips of every window either agent occupied,
-    which includes every clip whose features enter a state.  Results come
-    back in input order and equal those of rolling out each search alone.
+    ``visited`` holds the clips of every window either agent occupied, which
+    includes every clip whose features enter a state.  Results come back in
+    input order and equal those of rolling out each search alone.
     """
     groups: dict[tuple, _StackGroup] = {}
-    runs = [_Search(policy, video, init_pos, groups) for policy, video, init_pos in searches]
+    slots, starts = [], []  # (group, stack row, video) per agent; starts per search
+    for policy, video, init_pos in searches:
+        for net in (policy.begin_net, policy.end_net):
+            if net.input_dim != video.dim:
+                raise PhaseseekError(f"video feature dim {video.dim} does not match "
+                                     f"network input dim {net.input_dim}")
+            key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
+            group = groups.setdefault(key, _StackGroup((2 * policy.window_len, video.dim)))
+            group.videos[id(video)] = video
+            slots.append((group, group.row(net), id(video)))
+        starts.append(sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos))
     for group in groups.values():
         group.freeze()
-    active = runs
-    while active := [s for s in active if s.steps < max_steps and not s.settled]:
-        # All begin moves precede all end moves, so within one search end
-        # is clamped against begin's new position.
-        movers = [(s, ROLE_BEGIN) for s in active if not s.begin.settled]
-        movers += [(s, ROLE_END) for s in active if not s.end.settled]
-        actions = _decide(movers)
-        for (s, role), action in zip(movers, actions):
-            s.move(role, action)
-        for s in active:
-            s.steps += 1
-    return [s.result() for s in runs]
+
+    # Per agent, shape (searches, 2) with begin in column 0: its stack
+    # group, stack row and video base row, its position and previous
+    # position, whether it settled, and the range of positions it reached.
+    n = len(searches)
+    index = {id(group): g for g, group in enumerate(groups.values())}
+    group_of, row_of, base = np.array(
+        [(index[id(group)], row, group.base[video]) for group, row, video in slots],
+        dtype=np.int64).reshape(n, 2, 3).transpose(2, 0, 1)
+    num_clips = np.array([video.num_clips for _, video, _ in searches], dtype=np.int64)
+    pos = np.array(starts, dtype=np.int64).reshape(n, 2)
+    prev = np.full((n, 2), -2)  # no position equals -2
+    settled = np.zeros((n, 2), dtype=bool)
+    low, high = pos.copy(), pos.copy()
+    steps = np.zeros(n, dtype=np.int64)
+    for _ in range(max_steps):
+        active = ~settled.all(axis=1)
+        if not active.any():
+            break
+        steps += active
+        # Movers in role-major, then search order: every unsettled agent,
+        # as a search whose agents both settled is no longer active.
+        role, who = np.nonzero(~settled.T)
+        actions = np.empty(len(who), dtype=np.int64)
+        for g, group in enumerate(groups.values()):
+            mine = np.flatnonzero(group_of[who, role] == g)
+            if not len(mine):
+                continue
+            mine = mine[np.argsort(row_of[who[mine], role[mine]], kind="stable")]
+            s, r = who[mine], role[mine]
+            states = group.padded[window_rows(base[s, r][:, None] + pos[s], group.window_len)]
+            counts = np.bincount(row_of[s, r], minlength=len(group.nets))
+            acts = _group_actions(group, np.split(states, np.cumsum(counts)[:-1]))
+            actions[mine] = np.concatenate(acts)
+        # All begin moves precede all end moves, so end is clamped against
+        # begin's new (or settled) position.
+        for r, agent in enumerate((ROLE_BEGIN, ROLE_END)):
+            s = who[role == r]
+            new = apply_action(pos[s, r], actions[role == r], num_clips[s], pos[s, 1 - r], agent)
+            # A move is at most one clip, so |p - p'| <= 1 always holds.
+            settled[s, r] = settle = new == prev[s, r]
+            prev[s, r], pos[s, r] = pos[s, r], np.where(settle, np.minimum(new, pos[s, r]), new)
+            low[s, r] = np.minimum(low[s, r], new)
+            high[s, r] = np.maximum(high[s, r], new)
+
+    # An agent moves at most one clip per round and settles at one of its
+    # last two positions, so it occupied every position in [low, high].
+    results = []
+    for (policy, video, _), (p_b, p_e), lo, hi, taken, done in zip(
+            searches, pos.tolist(), low.tolist(), high.tolist(), steps.tolist(),
+            settled.all(axis=1).tolist()):
+        before, after = policy.window_len // 2, (policy.window_len + 1) // 2  # around center
+        visited = {c for a, b in zip(lo, hi)
+                   for c in range(max(a - before, 0), min(b + after, video.num_clips))}
+        results.append(RolloutResult(p_b, max(p_b, p_e), taken, visited, done))
+    return results
 
 
 def rollout(

@@ -17,6 +17,7 @@ against the fresh begin position).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,21 @@ class TrainConfig:
     memory_capacity: int = 10000
 
     def __post_init__(self):
+        # Each message names its field, which the CLI maps to the flag.
         if self.episodes_max < 0:
             raise ValueError("episodes_max must be >= 0")
-        if min(self.max_steps_per_video, self.batch, self.target_sync_period,
-               self.window_len, self.hidden_dim, self.num_layers,
-               self.memory_capacity) < 1:
-            raise ValueError("config counts must be >= 1")
-        if not (self.lr > 0 and self.eps_decay > 0):
-            raise ValueError("lr and eps_decay must be positive")
-        for eps in (self.eps_start, self.eps_min):
-            if not 0.0 <= eps <= 1.0:
-                raise ValueError("epsilon values must lie in [0, 1]")
-        if self.gamma < 0 or self.gamma >= 1:
+        for name in ("max_steps_per_video", "batch", "target_sync_period", "window_len",
+                     "hidden_dim", "num_layers", "memory_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
+        if not 0 < self.eps_decay <= 1:  # above 1, eps_decay ** episode can overflow
+            raise ValueError("eps_decay must lie in (0, 1]")
+        for name in ("eps_start", "eps_min"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0 <= self.gamma < 1:
             raise ValueError("gamma must lie in [0, 1)")
 
     def epsilon_at(self, episode: int) -> float:
@@ -174,18 +178,18 @@ def build_state(
     return padded[window_rows(base + np.array([pos_begin, pos_end]), window_len)]
 
 
-def apply_action(pos: int, action: int, num_clips: int, partner: int, role: str) -> int:
+def apply_action(pos, action, num_clips, partner, role: str):
     """Move one clip left/right, clamped to the video and to the pair order.
 
     The begin agent never moves right past its partner; the end agent never
     moves left past its partner.  Clamping absorbs the move, it never fails.
+    Every argument but ``role`` may be an array, to move many agents at once.
     """
-    step = 1 if action == ACTION_RIGHT else -1
-    new = min(max(pos + step, 0), num_clips - 1)
+    new = np.clip(pos + np.where(action == ACTION_RIGHT, 1, -1), 0, num_clips - 1)
     if role == ROLE_BEGIN:
-        return min(new, partner)
+        return np.minimum(new, partner)
     if role == ROLE_END:
-        return max(new, partner)
+        return np.maximum(new, partner)
     raise ValueError(f"unknown role {role!r}")
 
 
@@ -274,10 +278,10 @@ class _AgentSlot:
     pos: int = 0
 
     @classmethod
-    def fresh(cls, input_dim: int, cfg: TrainConfig, seed: int) -> _AgentSlot:
+    def fresh(cls, input_dim: int, cfg: TrainConfig, seed: int, capacity: int) -> _AgentSlot:
         net = init_qnetwork(input_dim, cfg.hidden_dim, cfg.num_layers, seed=seed)
         return cls(net, clone_params(net), adam_init(param_list(net), lr=cfg.lr),
-                   ReplayMemory(cfg.memory_capacity))
+                   ReplayMemory(capacity))
 
 
 def train(
@@ -316,7 +320,11 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
-    begin, end = (_AgentSlot.fresh(usable[0][1].dim, cfg, int(s)) for s in seeds)
+    # A memory holds at most the records the run pushes, so it wraps exactly
+    # when one of the configured capacity would.
+    pushes = cfg.episodes_max * len(usable) * cfg.max_steps_per_video
+    capacity = max(1, min(cfg.memory_capacity, pushes))
+    begin, end = (_AgentSlot.fresh(usable[0][1].dim, cfg, int(s), capacity) for s in seeds)
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
     padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 
@@ -361,8 +369,7 @@ def train(
 
     if begin.updates == 0:
         # Both agents push and update in step, so one check covers the pair.
-        pushed = cfg.episodes_max * len(usable) * cfg.max_steps_per_video
         logger.warning("phase %d: no Bellman update ran: %d record(s) pushed per agent, "
-                       "memory holds %d, batch needs %d", phase, pushed,
+                       "memory holds %d, batch needs %d", phase, pushes,
                        len(begin.memory), cfg.batch)
     return SearchPolicy(begin.net, end.net, cfg.window_len)

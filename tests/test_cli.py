@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -30,12 +31,17 @@ def _synth(out_dir, count=4, phases=2, seed=7, extra=()):
     assert main(args + list(extra)) == 0
 
 
-def _run(argv) -> tuple[int, str]:
+def _run(argv, address_space: int | None = None) -> tuple[int, str]:
     # The CLI in a child process, so an uncaught exception shows as a
-    # traceback on standard error: (exit code, standard error).
+    # traceback on standard error: (exit code, standard error).  With
+    # ``address_space``, the child may map at most that many bytes.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     env = {**os.environ, "PYTHONPATH": str(Path(phaseseek.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "phaseseek.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit if address_space else None)
     return proc.returncode, proc.stderr
 
 
@@ -109,6 +115,15 @@ class TestTrain:
             "train", "--phase", "5", "--phases", "2",
             "--features-dir", "x", "--labels-dir", "x", "--checkpoints-dir", "x",
         ]) == 1
+
+    def test_replay_sized_to_the_run(self, workspace, tmp_path):
+        # A billion-record --memory asked for 7.45 GiB up front; the replay
+        # ring now holds at most the records the run pushes.
+        code, err = _run(["train", "--phase", 0, "--phases", 2,
+                          "--features-dir", workspace / "data", "--labels-dir", workspace / "data",
+                          "--checkpoints-dir", tmp_path / "ck", *TINY_TRAIN,
+                          "--memory", 1000000000], address_space=2 << 30)
+        assert code == 0, err
 
     def test_missing_data_is_data_error(self, tmp_path):
         assert main([
@@ -400,6 +415,48 @@ class TestMalformedInputs:
         code, err = _run(["synth", "--out-dir", tmp_path / "out", "--min-len", "0"])
         assert code == 1
         assert "min_len" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "0"), ("--lr", "inf"), ("--gamma", "1"), ("--gamma", "nan"), ("--batch", "0"),
+        ("--eps-start", "2"), ("--episodes", "-1"), ("--hidden", "0"), ("--seed", "-1"),
+        ("--eps-decay", "1e308"),
+    ])
+    def test_bad_train_numbers(self, workspace, tmp_path, flag, value):
+        # Three episodes: at the third, an --eps-decay of 1e308 made eps_decay ** 2 overflow.
+        code, err = _run(["train", "--phase", 0, "--phases", 2, "--features-dir",
+                          workspace / "data", "--labels-dir", workspace / "data",
+                          "--checkpoints-dir", tmp_path / "ck", *TINY_TRAIN,
+                          "--episodes", 3, flag, value])
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--fps", "0"), ("--fps", "nan"), ("--fps", "1e308"), ("--clip-len", "0"),
+        ("--clip-len", str(2**32)), ("--noise", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_synth_numbers(self, tmp_path, flag, value):
+        code, err = _run(["synth", "--out-dir", tmp_path / "out", flag, value])
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_many_phases_fail_at_the_first_missing_policy(self, workspace, tmp_path):
+        # The phase list is not built up front: a billion phases is one
+        # missing checkpoint, not a 30 GiB list.
+        code, err = _run(["infer", "--phases", 10**9, "--features-dir", workspace / "data",
+                          "--checkpoints-dir", workspace / "ckpt",
+                          "--out-dir", tmp_path / "out"], address_space=2 << 30)
+        assert code == 2
+        assert "phase2_meta.json" in err and "Traceback" not in err
+
+    def test_negative_infer_max_steps(self, workspace, tmp_path):
+        code, err = _run(["infer", "--phases", 2, "--features-dir", workspace / "data",
+                          "--checkpoints-dir", workspace / "ckpt",
+                          "--out-dir", tmp_path / "out", "--max-steps", -3])
+        assert code == 1
+        assert "--max-steps" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_trailing_feature_bytes(self, workspace, tmp_path):
         data = tmp_path / "data"

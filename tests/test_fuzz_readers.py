@@ -1,19 +1,25 @@
-"""Fuzzing of the feature-file, label-CSV, checkpoint and checkpoint-meta readers.
+"""Fuzzing of the feature-file, label-CSV, checkpoint, checkpoint-meta and
+``--config`` readers.
 
-For arbitrary bytes each reader either returns or raises a
+For arbitrary bytes each file reader either returns or raises a
 ``PhaseseekError`` subclass (which the CLI maps to exit code 2), and never
-allocates more than 1 MB on the way, whatever sizes a header declares.
+allocates more than 1 MB on the way, whatever sizes a header declares.  A
+``--config`` document ends every command in exit code 0, 1 or 2, without an
+exception and under the same allocation limit.
 """
 
 import json
+import math
 import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseseek import cli
 from phaseseek.cli import _load_policy
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import TRNF_MAGIC, load_features, load_labels
@@ -161,3 +167,70 @@ class TestMetaFuzz:
     def test_arbitrary_documents(self, raw):
         _read(lambda path: _load_policy(path.parent, 0), raw, name="phase0_meta.json",
               setup=_phase0_checkpoints)
+
+
+# Every dest a config file may set, from the parser itself.
+_CONFIG_KEYS = sorted({action.dest for parser in cli._iter_parsers(cli.build_parser())
+                       for action in parser._actions if action.dest != "help"})
+_config_values = st.one_of(
+    st.integers(-3, 9), st.integers(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]),
+    st.text(max_size=8))
+
+
+@st.composite
+def _config_documents(draw):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _config_values), max_size=6))
+    return "\n".join(f"{key}={value}" for key, value in pairs).encode("utf-8", "surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def one_video(tmp_path_factory):
+    data = tmp_path_factory.mktemp("one_video")
+    assert cli.main(["synth", "--out-dir", str(data), "--count", "1", "--phases", "2",
+                     "--dim", "2", "--min-len", "4", "--max-len", "8"]) == 0
+    return data
+
+
+def _commands(data: Path, tmp: Path) -> list[list[str]]:
+    # Every size flag is pinned on the command line, where it wins over
+    # the config file, so each run stays small.
+    return [
+        ["synth", "--out-dir", str(tmp / "synth"), "--count", "1", "--phases", "2",
+         "--min-len", "4", "--max-len", "8", "--dim", "2"],
+        ["train", "--phase", "0", "--phases", "2", "--features-dir", str(data),
+         "--labels-dir", str(data), "--checkpoints-dir", str(tmp / "ckpt"), "--episodes", "0",
+         "--hidden", "4", "--layers", "1", "--memory", "8", "--window", "3"],
+        ["infer", "--phases", "2", "--features-dir", str(data),
+         "--checkpoints-dir", str(tmp / "empty"), "--out-dir", str(tmp / "pred")],
+    ]
+
+
+def _run_with_config(data: Path, raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_bytes(raw)
+        (Path(tmp) / "empty").mkdir()
+        for argv in _commands(data, Path(tmp)):
+            tracemalloc.start()
+            try:
+                code = cli.main([*argv, "--config", str(config)])
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert code in (0, 1, 2), argv
+            assert peak < PEAK_LIMIT, argv
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, one_video, raw):
+        _run_with_config(one_video, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_config_documents())
+    @example(raw=b"lr=0")
+    @example(raw=b"seed=-1\nfps=1e308\neps_decay=1e308")
+    def test_key_value_documents(self, one_video, raw):
+        _run_with_config(one_video, raw)
