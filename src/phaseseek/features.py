@@ -11,7 +11,6 @@ for desk-scale experiments and tests.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -32,6 +31,11 @@ from .errors import (
 TRNF_MAGIC = b"TRNF"
 TRNF_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIf")  # magic, version, T, D, K, fps
+
+# numpy's Gaussian draws lie within +-14 (its ziggurat's tail from 53-bit
+# uniforms), and a synthetic feature is a unit-norm blend plus sigma times a
+# draw, so at this bound every feature stays below 1.4e38 < float32 max.
+MAX_NOISE_SIGMA = 1e37
 
 
 @dataclass
@@ -145,6 +149,8 @@ class SynthConfig:
     Gaussian noise, with a linear blend of adjacent prototypes within
     ``blend_width`` clips of each block boundary.  ``dropout_prob`` is the
     per-phase probability of omitting that phase from a video entirely.
+    ``noise_sigma`` is at most ``MAX_NOISE_SIGMA``, so every feature fits a
+    float32 in the .trnf file.
     """
 
     num_phases: int
@@ -164,8 +170,8 @@ class SynthConfig:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+        if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
         if self.blend_width < 0:
             raise ValueError("blend_width must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -204,12 +210,13 @@ def save_features(seq: FeatureSequence, path) -> None:
     an IEEE-754 f32 fps, then T*D f32 feature values in row-major order.
     """
     feats = np.asarray(seq.features, dtype=np.float64)
-    if not np.isfinite(feats).all():
-        raise NonFiniteError("refusing to save non-finite features")
+    with np.errstate(over="ignore"):  # overflow is caught on the cast values
+        payload = feats.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise NonFiniteError("refusing to save features that are not finite as float32")
     t, d = feats.shape
     header = _HEADER.pack(TRNF_MAGIC, TRNF_VERSION, t, d, seq.clip_len_frames, seq.fps)
-    payload = feats.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(header + payload.tobytes(order="C"))
 
 
 def load_features(path) -> FeatureSequence:

@@ -3,17 +3,20 @@
 Architecture: a stack of LSTM layers consumes the window-feature sequence
 step by step; the final hidden state feeds a tanh dense layer (``fc1``) and
 a linear head (``fc2``) that emits one Q-value per action (index 0 = Right,
-index 1 = Left).  Everything is double precision.  Each layer holds the
-input, forget, cell and output gates' weights column-stacked in the order
-(input, forget, output, cell), which keeps the three sigmoid gates in one
-contiguous block.
+index 1 = Left).  Everything is double precision.  A checkpoint holds each
+layer's input, forget, cell and output gates' weights column-stacked in the
+order (input, forget, output, cell), which keeps the three sigmoid gates in
+one contiguous block.
 
-One kernel evaluates and differentiates networks: :func:`stack_networks`
-copies networks of one geometry into a gate-major :class:`NetworkStack`,
-:func:`forward_stack` evaluates all of them in one pass, and, when asked to
-cache, keeps every step's activations for :func:`backward_stack`, which
-returns gradients shaped exactly like :func:`param_list`.  :func:`forward`
-and :func:`backward` are its one-network wrappers.  Training code is the
+A :class:`QNetwork` keeps its weights in one layout only, the gate-major
+blocks the kernel reads; checkpoints keep the (rows, 4H) layout above, and
+:func:`save_checkpoint` and :func:`load_checkpoint` convert at the file.
+One kernel evaluates and differentiates networks: :func:`forward_stack`
+evaluates every network of a :class:`QNetwork` (one, or several joined by
+:func:`stack_networks`) in one pass, and, when asked to cache, keeps every
+step's activations for :func:`backward_stack`, which returns gradients
+shaped exactly like :func:`param_list`.  :func:`forward` and
+:func:`backward` are its one-network wrappers.  Training code is the
 single writer of a network's arrays; frozen networks are safe to share
 across threads.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +43,90 @@ _CKPT_HEADER = struct.Struct("<4sIIIIII")  # magic, version, D, H, M, fc1, actio
 
 @dataclass
 class LstmLayer:
-    """One layer's parameters: input, recurrent, and bias blocks."""
+    """One layer's parameters, gate-major: input, recurrent and bias blocks."""
 
-    w_in: np.ndarray   # (din, 4H), gate columns in i, f, o, g order
-    w_rec: np.ndarray  # (H, 4H)
-    bias: np.ndarray   # (4H,)
+    w_in: np.ndarray   # (N, 4, din, H), gates in i, f, o, g order
+    w_rec: np.ndarray  # (N, 4, H, H)
+    bias: np.ndarray   # (N, 4, 1, H)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QNetwork:
+    """N >= 1 networks of one geometry, in the layout the kernel reads.
+
+    Each entry of ``layers`` holds one layer of every network in gate-major
+    blocks (see :class:`LstmLayer`).  The sigmoid gates' (i, f, o) blocks
+    are stored negated, so their pre-activations come out as -z and feed
+    ``exp`` directly; negation is exact, so this changes no bit.  The dense
+    head is stacked as ``fc1_w`` (N, H, FC1_UNITS), ``fc1_b`` (N, 1,
+    FC1_UNITS), ``fc2_w`` (N, FC1_UNITS, NUM_ACTIONS) and ``fc2_b`` (N, 1,
+    NUM_ACTIONS).  A network made by :func:`init_qnetwork` or
+    :func:`load_checkpoint` holds one; :func:`stack_networks` concatenates
+    several.
+    """
+
     input_dim: int
     hidden_dim: int
-    num_layers: int
-    layers: list[LstmLayer] = field(default_factory=list)
-    fc1_w: np.ndarray | None = None
-    fc1_b: np.ndarray | None = None
-    fc2_w: np.ndarray | None = None
-    fc2_b: np.ndarray | None = None
+    layers: list[LstmLayer]
+    fc1_w: np.ndarray
+    fc1_b: np.ndarray
+    fc2_w: np.ndarray
+    fc2_b: np.ndarray
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
+
+    def __len__(self) -> int:
+        return len(self.fc1_w)
+
+    def __getitem__(self, rows: slice) -> QNetwork:
+        """The networks in ``rows``, as views of this network's arrays."""
+        return _assemble(self.input_dim, self.hidden_dim, [p[rows] for p in param_list(self)])
+
+
+def _assemble(input_dim: int, hidden_dim: int, params: list[np.ndarray]) -> QNetwork:
+    # A QNetwork around arrays given in param_list order.
+    lstm = params[:-4]
+    layers = [LstmLayer(*lstm[i: i + 3]) for i in range(0, len(lstm), 3)]
+    return QNetwork(input_dim, hidden_dim, layers, *params[-4:])
+
+
+def _file_shapes(input_dim: int, hidden_dim: int, num_layers: int) -> list[tuple[int, ...]]:
+    # Each parameter's shape in a checkpoint file, in param_list order: the
+    # LSTM blocks are (rows, 4H) with gate columns in i, f, o, g order.
+    h = hidden_dim
+    shapes = []
+    for din in [input_dim] + [h] * (num_layers - 1):
+        shapes += [(din, 4 * h), (h, 4 * h), (4 * h,)]
+    return shapes + [(h, FC1_UNITS), (FC1_UNITS,), (FC1_UNITS, NUM_ACTIONS), (NUM_ACTIONS,)]
+
+
+def _gate_major(w: np.ndarray) -> np.ndarray:
+    # (N, rows, 4H) gate-minor weights in the kernel layout: (N, 4, rows, H),
+    # sigmoid blocks negated.  Always a fresh array.
+    n, rows, h4 = w.shape
+    out = w.reshape(n, rows, 4, h4 // 4).transpose(0, 2, 1, 3).copy()
+    np.negative(out[:, :3], out=out[:, :3])
+    return out
+
+
+def _gate_minor(w: np.ndarray) -> np.ndarray:
+    # Kernel-layout (N, 4, rows, H) weights back in file layout: (N, rows, 4H),
+    # sigmoid blocks un-negated.
+    n, _, rows, h = w.shape
+    out = np.empty((n, rows, 4, h))
+    np.copyto(out, w.transpose(0, 2, 1, 3))
+    np.negative(out[:, :, :3], out=out[:, :, :3])
+    return out.reshape(n, rows, 4 * h)
+
+
+def _from_file_layout(input_dim: int, hidden_dim: int, params: list[np.ndarray]) -> QNetwork:
+    # One network from its parameters in file layout (see _file_shapes).
+    lstm, head = params[:-4], params[-4:]
+    return _assemble(input_dim, hidden_dim,
+                     [_gate_major(p.reshape(1, -1, 4 * hidden_dim)) for p in lstm]
+                     + [p.reshape(1, -1, p.shape[-1]).copy() for p in head])
 
 
 def init_qnetwork(
@@ -66,28 +136,12 @@ def init_qnetwork(
     if min(input_dim, hidden_dim, num_layers) < 1:
         raise ValueError("input_dim, hidden_dim and num_layers must be >= 1")
     rng = np.random.default_rng(seed)
-    h = hidden_dim
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    net = QNetwork(input_dim, hidden_dim, num_layers)
-    din = input_dim
-    for _ in range(num_layers):
-        net.layers.append(
-            LstmLayer(
-                w_in=uniform(din, (din, 4 * h)),
-                w_rec=uniform(h, (h, 4 * h)),
-                bias=uniform(h, (4 * h,)),
-            )
-        )
-        din = h
-    net.fc1_w = uniform(h, (h, FC1_UNITS))
-    net.fc1_b = uniform(h, (FC1_UNITS,))
-    net.fc2_w = uniform(FC1_UNITS, (FC1_UNITS, NUM_ACTIONS))
-    net.fc2_b = uniform(FC1_UNITS, (NUM_ACTIONS,))
-    return net
+    params = []
+    for shape in _file_shapes(input_dim, hidden_dim, num_layers):
+        if len(shape) == 2:  # a bias shares the fan-in of the weights before it
+            bound = 1.0 / np.sqrt(shape[0])
+        params.append(rng.uniform(-bound, bound, size=shape))
+    return _from_file_layout(input_dim, hidden_dim, params)
 
 
 def zero_qnetwork(input_dim: int, hidden_dim: int = 64, num_layers: int = 2) -> QNetwork:
@@ -109,15 +163,7 @@ def param_list(net: QNetwork) -> list[np.ndarray]:
 
 def clone_params(net: QNetwork) -> QNetwork:
     """Deep copy; the clone never aliases the original's arrays."""
-    copy = QNetwork(net.input_dim, net.hidden_dim, net.num_layers)
-    copy.layers = [
-        LstmLayer(l.w_in.copy(), l.w_rec.copy(), l.bias.copy()) for l in net.layers
-    ]
-    copy.fc1_w = net.fc1_w.copy()
-    copy.fc1_b = net.fc1_b.copy()
-    copy.fc2_w = net.fc2_w.copy()
-    copy.fc2_b = net.fc2_b.copy()
-    return copy
+    return _assemble(net.input_dim, net.hidden_dim, [p.copy() for p in param_list(net)])
 
 
 def copy_params_into(src: QNetwork, dst: QNetwork) -> None:
@@ -128,88 +174,22 @@ def copy_params_into(src: QNetwork, dst: QNetwork) -> None:
         p_dst[...] = p_src
 
 
-# ---------------------------------------------------------------------------
-# The LSTM kernel: stacked networks, forward and backward
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NetworkStack:
-    """Copies of N networks of one geometry, laid out for the kernel.
-
-    Each entry of ``layers`` holds one layer of every network in gate-major
-    blocks: ``w_in`` (N, 4, din, H), ``w_rec`` (N, 4, H, H) and ``bias``
-    (N, 4, 1, H), gates in i, f, o, g order.  The sigmoid gates' (i, f, o)
-    blocks are stored negated, so their pre-activations come out as -z and
-    feed ``exp`` directly; negation is exact, so this changes no bit.  The
-    dense head is stacked as ``fc1_w`` (N, H, FC1_UNITS), ``fc1_b``
-    (N, 1, FC1_UNITS), ``fc2_w`` (N, FC1_UNITS, NUM_ACTIONS) and ``fc2_b``
-    (N, 1, NUM_ACTIONS).
-    """
-
-    input_dim: int
-    hidden_dim: int
-    layers: list[LstmLayer]
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.fc1_w)
-
-    def __getitem__(self, rows: slice) -> NetworkStack:
-        """The networks in ``rows``, as views of this stack's arrays."""
-        return NetworkStack(
-            self.input_dim, self.hidden_dim,
-            [LstmLayer(l.w_in[rows], l.w_rec[rows], l.bias[rows]) for l in self.layers],
-            self.fc1_w[rows], self.fc1_b[rows], self.fc2_w[rows], self.fc2_b[rows],
-        )
-
-
-def stack_networks(nets: list[QNetwork]) -> NetworkStack:
-    """Copy networks of one (input dim, hidden dim, layers) geometry into a
-    :class:`NetworkStack`; later changes to the networks do not reach it."""
+def stack_networks(nets: list[QNetwork]) -> QNetwork:
+    """Concatenate networks of one (input dim, hidden dim, layers) geometry;
+    later changes to the networks do not reach the result."""
     if not nets:
         raise ValueError("need at least one network")
     first = nets[0]
     geometry = (first.input_dim, first.hidden_dim, first.num_layers)
     if any((n.input_dim, n.hidden_dim, n.num_layers) != geometry for n in nets):
         raise ValueError("stacked networks must share input dim, hidden dim and layers")
-    h = first.hidden_dim
-
-    def gate_major(blocks):  # per network (rows, 4H) -> (N, 4, rows, H)
-        out = np.empty((len(blocks), 4, len(blocks[0]), h))
-        for dst, w in zip(out, blocks):
-            dst[...] = w.reshape(len(w), 4, h).transpose(1, 0, 2)
-        np.negative(out[:, :3], out=out[:, :3])
-        return out
-
-    layers = [
-        LstmLayer(
-            w_in=gate_major([n.layers[li].w_in for n in nets]),
-            w_rec=gate_major([n.layers[li].w_rec for n in nets]),
-            bias=gate_major([n.layers[li].bias[None] for n in nets]),
-        )
-        for li in range(first.num_layers)
-    ]
-    return NetworkStack(
-        first.input_dim, h, layers,
-        fc1_w=np.stack([n.fc1_w for n in nets]),
-        fc1_b=np.stack([n.fc1_b[None] for n in nets]),
-        fc2_w=np.stack([n.fc2_w for n in nets]),
-        fc2_b=np.stack([n.fc2_b[None] for n in nets]),
-    )
+    return _assemble(first.input_dim, first.hidden_dim,
+                     [np.concatenate(ps) for ps in zip(*map(param_list, nets))])
 
 
-def _gate_minor(w: np.ndarray) -> np.ndarray:
-    # Stacked (N, 4, rows, H) weights back in QNetwork layout: (N, rows, 4H),
-    # sigmoid blocks un-negated.
-    n, _, rows, h = w.shape
-    out = np.empty((n, rows, 4, h))
-    np.copyto(out, w.transpose(0, 2, 1, 3))
-    np.negative(out[:, :, :3], out=out[:, :, :3])
-    return out.reshape(n, rows, 4 * h)
-
+# ---------------------------------------------------------------------------
+# The LSTM kernel: forward and backward
+# ---------------------------------------------------------------------------
 
 def _arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     # Uninitialized arrays carved from one block.  The allocator reuses a
@@ -233,19 +213,18 @@ class StackCache:
     ``grad_h`` are :func:`backward_stack`'s room in it.
     """
 
-    stack: NetworkStack
+    stack: QNetwork
     x: np.ndarray           # (N, T, B, D) inputs, step-major
     gates: np.ndarray       # (layers, N, T, 4, B, H) i, f, o, g after activation
     cells: np.ndarray       # (layers, N, T, B, H)
     tanh_cells: np.ndarray  # (layers, N, T, B, H)
     hiddens: np.ndarray     # (layers, N, T, B, H)
     a1: np.ndarray          # (N, B, FC1_UNITS)
-    grad_z: np.ndarray      # (N, T, B, 4H) gate-minor, like the QNetwork columns
+    grad_z: np.ndarray      # (N, T, B, 4H) gate-minor, like the checkpoint columns
     grad_h: np.ndarray      # (N, T, B, H)
-    owner: QNetwork | None = None  # the network :func:`forward` evaluated
 
 
-def forward_stack(stack: NetworkStack, x: np.ndarray, cache: bool = False):
+def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     """Q-values (N, B, NUM_ACTIONS) of every stacked network on its own batch.
 
     ``x`` is (N, B, T, D): network n evaluates ``x[n]``.  The pass runs
@@ -318,17 +297,18 @@ def forward_stack(stack: NetworkStack, x: np.ndarray, cache: bool = False):
     return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1, *cache_room[1:])
 
 
-def backward_stack(stack: NetworkStack, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
+def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of sum(dq * q) w.r.t. every stacked network's parameters.
 
     ``cache`` must come from a cached ``forward_stack`` pass on ``stack``;
-    ``dq`` is (N, B, NUM_ACTIONS).  Returns one array per
-    parameter, in :func:`param_list` order and QNetwork layout, with a
-    leading N axis.  Each step's gate gradients are written gate-minor, so
-    the products over 4H sum in the QNetwork column order.
+    ``dq`` is (N, B, NUM_ACTIONS).  Returns one array per parameter,
+    shaped like :func:`param_list`'s.  Each step's gate gradients are
+    written gate-minor, so the products over 4H sum in the checkpoint
+    file's column order; the weight gradients are then moved into the
+    kernel layout, which is exact.
     """
     if cache is None or cache.stack is not stack:
-        raise PhaseseekError("cache does not belong to this stack")
+        raise PhaseseekError("cache does not belong to this network")
     n, t, b, _ = cache.x.shape
     h = stack.hidden_dim
     dq = np.asarray(dq, dtype=np.float64)
@@ -338,11 +318,11 @@ def backward_stack(stack: NetworkStack, cache: StackCache, dq: np.ndarray) -> li
     # Dense head.
     a1, h_last = cache.a1, cache.hiddens[-1][:, -1]
     d_fc2_w = a1.transpose(0, 2, 1) @ dq
-    d_fc2_b = dq.sum(axis=1)
+    d_fc2_b = dq.sum(axis=1, keepdims=True)
     da1 = dq @ stack.fc2_w.transpose(0, 2, 1)
     dz1 = da1 * (1.0 - a1 * a1)
     d_fc1_w = h_last.transpose(0, 2, 1) @ dz1
-    d_fc1_b = dz1.sum(axis=1)
+    d_fc1_b = dz1.sum(axis=1, keepdims=True)
     dh_last = dz1 @ stack.fc1_w.transpose(0, 2, 1)
 
     # Upstream gradient w.r.t. the top layer's hidden sequence.
@@ -394,8 +374,8 @@ def backward_stack(stack: NetworkStack, cache: StackCache, dq: np.ndarray) -> li
         d_w_rec = h_prev.transpose(0, 2, 1) @ dz_flat[:, b:]
         x_in = (cache.x if li == 0 else cache.hiddens[li - 1]).reshape(n, t * b, -1)
         d_w_in = x_in.transpose(0, 2, 1) @ dz_flat
-        d_bias = dz_flat.sum(axis=1)
-        grads[:0] = (d_w_in, d_w_rec, d_bias)
+        d_bias = dz_flat.sum(axis=1, keepdims=True)
+        grads[:0] = map(_gate_major, (d_w_in, d_w_rec, d_bias))
         if li > 0:
             # Lower layer's hidden dim equals h, so d_seq can be rebuilt in place.
             np.matmul(dz_flat, _gate_minor(layer.w_in).transpose(0, 2, 1),
@@ -407,17 +387,13 @@ def forward(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, StackCache]:
     """Cached forward of one network on a ``(B, T, D)`` batch or one ``(T, D)``
     state; returns (q-values, cache for :func:`backward`)."""
     x = np.asarray(x, dtype=np.float64)
-    q, cache = forward_stack(stack_networks([net]), x.reshape((1, -1) + x.shape[-2:]), cache=True)
-    cache.owner = net
+    q, cache = forward_stack(net, x.reshape((1, -1) + x.shape[-2:]), cache=True)
     return q.reshape(x.shape[:-2] + (NUM_ACTIONS,)), cache
 
 
 def backward(net: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
-    """Gradients of sum(dq * q) after :func:`forward`, in :func:`param_list` order."""
-    if cache is None or cache.owner is not net:
-        raise PhaseseekError("cache does not belong to this network")
-    dq = np.asarray(dq, dtype=np.float64).reshape(1, -1, NUM_ACTIONS)
-    return [g[0] for g in backward_stack(cache.stack, cache, dq)]
+    """Gradients of sum(dq * q) after :func:`forward`, shaped like :func:`param_list`."""
+    return backward_stack(net, cache, np.asarray(dq, dtype=np.float64).reshape(1, -1, NUM_ACTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +408,10 @@ def huber_loss(pred, target, delta: float = 1.0):
     diff = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
     absd = np.abs(diff)
     quad = absd <= delta
-    loss = np.where(quad, 0.5 * diff * diff, delta * (absd - 0.5 * delta))
     grad = np.clip(diff, -delta, delta)
+    # grad equals diff wherever the quadratic branch is taken; squaring it
+    # cannot overflow on the elements the linear branch keeps.
+    loss = np.where(quad, 0.5 * grad * grad, delta * (absd - 0.5 * delta))
     if loss.ndim == 0:
         return float(loss), float(grad)
     return loss, grad
@@ -483,16 +461,24 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: QNetwork, path) -> None:
-    """Write dims header plus all parameters as little-endian float64, atomically."""
+    """Write one network atomically: the dims header, then every parameter in
+    :func:`param_list` order as little-endian float64, LSTM blocks as
+    (rows, 4H) with gate columns in i, f, o, g order.  Refuses non-finite
+    weights."""
+    if len(net) != 1:
+        raise ValueError(f"a checkpoint holds one network, got {len(net)}")
+    params = [_gate_minor(p) if p.ndim == 4 else p for p in param_list(net)]
+    if not all(np.isfinite(p).all() for p in params):
+        raise PhaseseekError(f"{path}: refusing to save non-finite network weights")
     header = _CKPT_HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, net.input_dim, net.hidden_dim, net.num_layers,
         FC1_UNITS, NUM_ACTIONS,
     )
-    blobs = [p.astype("<f8").tobytes(order="C") for p in param_list(net)]
-    write_atomic(path, header + b"".join(blobs))
+    write_atomic(path, header + b"".join(p.astype("<f8").tobytes() for p in params))
 
 
 def load_checkpoint(path) -> QNetwork:
+    """Read a network written by :func:`save_checkpoint`."""
     raw = Path(path).read_bytes()
     if len(raw) < _CKPT_HEADER.size or raw[:4] != CKPT_MAGIC:
         raise PhaseseekError(f"{path}: not a network checkpoint")
@@ -513,22 +499,9 @@ def load_checkpoint(path) -> QNetwork:
                              f"({payload} bytes, header dims need {8 * values})")
     if payload > 8 * values:
         raise PhaseseekError(f"{path}: trailing bytes in checkpoint")
-    net = QNetwork(d, h, m)
-    net.layers = [
-        LstmLayer(
-            w_in=np.empty((d if i == 0 else h, 4 * h)),
-            w_rec=np.empty((h, 4 * h)),
-            bias=np.empty(4 * h),
-        )
-        for i in range(m)
-    ]
-    net.fc1_w = np.empty((h, FC1_UNITS))
-    net.fc1_b = np.empty(FC1_UNITS)
-    net.fc2_w = np.empty((FC1_UNITS, NUM_ACTIONS))
-    net.fc2_b = np.empty(NUM_ACTIONS)
-
-    offset = _CKPT_HEADER.size
-    for p in param_list(net):
-        p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=offset).reshape(p.shape)
-        offset += p.size * 8
-    return net
+    flat = np.frombuffer(raw, dtype="<f8", offset=_CKPT_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise PhaseseekError(f"{path}: checkpoint holds NaN or Inf weights")
+    shapes = _file_shapes(d, h, m)
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return _from_file_layout(d, h, [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)])

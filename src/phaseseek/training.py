@@ -36,7 +36,6 @@ from .nets import (
     huber_loss,
     init_qnetwork,
     param_list,
-    stack_networks,
 )
 
 logger = logging.getLogger(__name__)
@@ -208,7 +207,7 @@ def select_action(
     # ones any padded batch of the kernel gives it (see forward_stack).
     x = np.zeros((1, 4) + np.shape(state))
     x[0, 0] = state
-    q = forward_stack(stack_networks([net]), x)[0, 0]
+    q = forward_stack(net, x)[0, 0]
     return ACTION_RIGHT if q[ACTION_RIGHT] >= q[ACTION_LEFT] else ACTION_LEFT
 
 
@@ -232,10 +231,9 @@ def dqn_update(
     if len(memory) < batch:
         return None
     states, next_states, actions, rewards = memory.sample(batch, rng)
-    stack = stack_networks([net])
-    (q,), cache = forward_stack(stack, padded[states][None], cache=True)
+    (q,), cache = forward_stack(net, padded[states][None], cache=True)
     if gamma != 0.0:
-        q_next = forward_stack(stack_networks([target_net]), padded[next_states][None])[0]
+        q_next = forward_stack(target_net, padded[next_states][None])[0]
         targets = rewards + gamma * q_next.max(axis=1)
     else:
         targets = rewards.astype(np.float64)
@@ -243,8 +241,7 @@ def dqn_update(
     losses, dpred = huber_loss(q[rows, actions], targets)
     dq = np.zeros((batch, q.shape[1]))
     dq[rows, actions] = dpred / batch
-    grads = backward_stack(stack, cache, dq[None])
-    adam_step(param_list(net), [g[0] for g in grads], adam)
+    adam_step(param_list(net), backward_stack(net, cache, dq[None]), adam)
     return float(losses.mean())
 
 

@@ -3,9 +3,14 @@
 kernel.  Test-only oracle: ``forward_stack``/``backward_stack`` must match
 it bit for bit at the batch sizes the kernel documents.
 
-Layout: activations are ``(steps, batch, 4H)`` with gate columns in the
-QNetwork order (i, f, o, g); ``forward_batch`` runs one layer at a time and
-``backward_batch`` replays the steps in reverse.
+Layout: weights are the checkpoint file's, kept in a :class:`RowNetwork`:
+an LSTM layer's blocks are (rows, 4H) with gate columns in the order
+(i, f, o, g); activations are ``(steps, batch, 4H)``.  ``forward_batch``
+runs one layer at a time and ``backward_batch`` replays the steps in
+reverse.  The weights come from :func:`init_row_network`, a copy of
+``init_qnetwork``'s draws, and :func:`kernel_layout` moves row-layout
+arrays into the kernel's layout; neither uses ``phaseseek.nets``'
+conversions, so tests that compare the two kernels check the layout too.
 """
 
 from __future__ import annotations
@@ -15,12 +20,88 @@ from dataclasses import dataclass
 import numpy as np
 
 from phaseseek.errors import PhaseseekError
-from phaseseek.nets import NUM_ACTIONS, QNetwork
+from phaseseek.nets import FC1_UNITS, NUM_ACTIONS, LstmLayer, QNetwork
+
+
+@dataclass
+class RowLayer:
+    w_in: np.ndarray   # (din, 4H), gate columns in i, f, o, g order
+    w_rec: np.ndarray  # (H, 4H)
+    bias: np.ndarray   # (4H,)
+
+
+@dataclass
+class RowNetwork:
+    """One network's parameters in the checkpoint file's layout."""
+
+    input_dim: int
+    hidden_dim: int
+    layers: list[RowLayer]
+    fc1_w: np.ndarray  # (H, FC1_UNITS)
+    fc1_b: np.ndarray  # (FC1_UNITS,)
+    fc2_w: np.ndarray  # (FC1_UNITS, NUM_ACTIONS)
+    fc2_b: np.ndarray  # (NUM_ACTIONS,)
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
+
+    def params(self) -> list[np.ndarray]:
+        """Every array in ``param_list`` order (views)."""
+        out = [w for layer in self.layers for w in (layer.w_in, layer.w_rec, layer.bias)]
+        return out + [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
+
+
+def init_row_network(input_dim: int, hidden_dim: int, num_layers: int, seed: int) -> RowNetwork:
+    """``init_qnetwork``'s uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws, in
+    its order, kept in row layout."""
+    rng = np.random.default_rng(seed)
+    h = hidden_dim
+
+    def uniform(fan_in, shape):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    layers = []
+    din = input_dim
+    for _ in range(num_layers):
+        layers.append(RowLayer(uniform(din, (din, 4 * h)), uniform(h, (h, 4 * h)),
+                               uniform(h, (4 * h,))))
+        din = h
+    return RowNetwork(input_dim, h, layers,
+                      uniform(h, (h, FC1_UNITS)), uniform(h, (FC1_UNITS,)),
+                      uniform(FC1_UNITS, (FC1_UNITS, NUM_ACTIONS)),
+                      uniform(FC1_UNITS, (NUM_ACTIONS,)))
+
+
+def kernel_layout(params: list[np.ndarray], num_layers: int) -> list[np.ndarray]:
+    """Row-layout arrays in ``param_list`` order, moved into the kernel's
+    layout with a leading network axis of 1: an LSTM block (rows, 4H)
+    becomes (1, 4, rows, H) with the i, f, o blocks negated, a head array
+    (rows, units) or (units,) becomes (1, rows, units) or (1, 1, units)."""
+    out = []
+    for i, w in enumerate(params):
+        w = np.asarray(w, dtype=np.float64)
+        if i < 3 * num_layers:
+            rows = w.reshape(-1, 4, w.shape[-1] // 4)  # (rows, gate, H)
+            block = np.stack([rows[:, gate] for gate in range(4)])[None]
+            block[:, :3] *= -1.0
+            out.append(block)
+        else:
+            out.append(w.reshape((1, -1, w.shape[-1])).copy())
+    return out
+
+
+def kernel_network(row: RowNetwork) -> QNetwork:
+    """A :class:`QNetwork` holding ``row``'s weights, built by :func:`kernel_layout`."""
+    p = kernel_layout(row.params(), row.num_layers)
+    layers = [LstmLayer(*p[3 * i: 3 * i + 3]) for i in range(row.num_layers)]
+    return QNetwork(row.input_dim, row.hidden_dim, layers, *p[-4:])
 
 
 @dataclass
 class ForwardCache:
-    net: QNetwork
+    net: RowNetwork
     x_steps: int
     batch: int
     layer_inputs: list[np.ndarray]   # (T, B, din) per layer
@@ -45,7 +126,7 @@ def _gate_activations(z: np.ndarray, h: int) -> None:
 
 
 def forward_batch(
-    net: QNetwork,
+    net: RowNetwork,
     x: np.ndarray,
     need_cache: bool = True,
 ) -> tuple[np.ndarray, ForwardCache | None]:
@@ -111,11 +192,11 @@ def forward_batch(
     return (q[0] if squeezed else q), cache
 
 
-def backward_batch(net: QNetwork, cache: ForwardCache, dq: np.ndarray) -> list[np.ndarray]:
+def backward_batch(net: RowNetwork, cache: ForwardCache, dq: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of sum(dq * q) w.r.t. every parameter.
 
     ``cache`` must come from a ``forward_batch`` call on the same network;
-    gradients are returned in :func:`param_list` order.
+    gradients are returned in row layout, in ``param_list`` order.
     """
     if cache is None or cache.net is not net:
         raise PhaseseekError("cache does not belong to this network")

@@ -288,6 +288,18 @@ class TestInferMetaValidation:
         assert "phase0_begin.qnet" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_checkpoint_is_data_error(self, workspace, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        path = ckpt / "phase1_end.qnet"
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("nan")))  # fc2_b[1]
+        out = tmp_path / "out"
+        code, err = _run(["infer", "--phases", 2, "--features-dir", workspace / "data",
+                          "--checkpoints-dir", ckpt, "--out-dir", out])
+        assert code == 2
+        assert "phase1_end.qnet" in err and "NaN" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_video_dim_mismatch_names_video_and_writes_nothing(self, workspace, tmp_path,
                                                                 capsys):
         odd = tmp_path / "odd"
@@ -433,7 +445,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("flag, value", [
         ("--fps", "0"), ("--fps", "nan"), ("--fps", "1e308"), ("--clip-len", "0"),
-        ("--clip-len", str(2**32)), ("--noise", "nan"), ("--seed", "-1"),
+        ("--clip-len", str(2**32)), ("--noise", "nan"), ("--noise", "1e38"),
+        ("--noise", "1e308"), ("--seed", "-1"),
     ])
     def test_bad_synth_numbers(self, tmp_path, flag, value):
         code, err = _run(["synth", "--out-dir", tmp_path / "out", flag, value])

@@ -13,6 +13,7 @@ from phaseseek.errors import (
     TruncatedError,
 )
 from phaseseek.features import (
+    MAX_NOISE_SIGMA,
     FeatureSequence,
     PhaseLabels,
     SynthConfig,
@@ -104,6 +105,10 @@ class TestFeatureFiles:
             save_features(seq, path)
         with pytest.raises(NonFiniteError):
             FeatureSequence(np.array([[np.inf]]))
+        # 1e39 is finite in float64 but overflows the file's float32.
+        with pytest.raises(NonFiniteError, match="float32"):
+            save_features(_seq([[1.0, 1e39]]), tmp_path / "big.trnf")
+        assert not (tmp_path / "big.trnf").exists()
 
 
 class TestLabelFiles:
@@ -264,6 +269,17 @@ class TestSynth:
             assert present  # never empty
             saw_missing = saw_missing or len(present) < 4
         assert saw_missing
+
+    def test_noise_bound_keeps_files_finite(self, tmp_path):
+        # At the largest noise the config admits, every video saves and loads.
+        cfg = SynthConfig(num_phases=3, min_len=20, max_len=40, dim=16,
+                          noise_sigma=MAX_NOISE_SIGMA)
+        for i, (seq, _) in enumerate(synth_dataset(cfg, 4, seed=2)):
+            save_features(seq, tmp_path / f"v{i}.trnf")
+            assert load_features(tmp_path / f"v{i}.trnf").num_clips == seq.num_clips
+        for sigma in (MAX_NOISE_SIGMA * 1.01, 1e38, float("inf"), float("nan"), -1.0):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                SynthConfig(num_phases=1, min_len=1, max_len=1, noise_sigma=sigma)
 
     def test_dataset_shares_prototypes(self):
         cfg = SynthConfig(num_phases=2, min_len=3, max_len=3, dim=8)

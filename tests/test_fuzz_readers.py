@@ -160,6 +160,20 @@ class TestCheckpointFuzz:
     def test_arbitrary_headers(self, raw):
         _read(load_checkpoint, raw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 100, -1])
+    def test_non_finite_weight_rejected(self, tmp_path, value, index):
+        # A well-formed checkpoint with one NaN or Inf weight: the first
+        # w_in entry, one inside the LSTM blocks, or the last fc2_b entry.
+        path = tmp_path / "net.qnet"
+        save_checkpoint(init_qnetwork(3, 4, 1, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        weights = memoryview(raw)[struct.calcsize("<4sIIIIII"):].cast("d")
+        weights[index] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PhaseseekError, match="NaN or Inf"):
+            load_checkpoint(path)
+
 
 class TestMetaFuzz:
     @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from phaseseek import features
 from phaseseek.errors import PhaseseekError
 from phaseseek.nets import (
     FC1_UNITS,
-    LstmLayer,
-    QNetwork,
     adam_init,
     adam_step,
     backward,
@@ -28,7 +27,15 @@ from phaseseek.nets import (
     stack_networks,
     zero_qnetwork,
 )
-from reference_kernel import backward_batch, forward_batch
+from reference_kernel import (
+    RowLayer,
+    RowNetwork,
+    backward_batch,
+    forward_batch,
+    init_row_network,
+    kernel_layout,
+    kernel_network,
+)
 
 
 def finite_difference_grads(net, x, dq, h=1e-5):
@@ -74,16 +81,18 @@ class TestForward:
     def test_matches_hand_unrolled_lstm(self):
         # 1 layer, hidden size 1, two steps, scalar weights; gate columns
         # are (input, forget, output, cell).
-        net = QNetwork(input_dim=1, hidden_dim=1, num_layers=1)
-        net.layers = [LstmLayer(
-            w_in=np.array([[0.5, -0.3, 0.2, 0.8]]),
-            w_rec=np.array([[0.1, 0.4, 0.3, -0.2]]),
-            bias=np.array([0.05, -0.1, 0.0, 0.2]),
-        )]
-        net.fc1_w = np.full((1, FC1_UNITS), 0.02)
-        net.fc1_b = np.zeros(FC1_UNITS)
-        net.fc2_w = np.full((FC1_UNITS, 2), 0.03)
-        net.fc2_b = np.array([0.1, -0.2])
+        net = kernel_network(RowNetwork(
+            input_dim=1, hidden_dim=1,
+            layers=[RowLayer(
+                w_in=np.array([[0.5, -0.3, 0.2, 0.8]]),
+                w_rec=np.array([[0.1, 0.4, 0.3, -0.2]]),
+                bias=np.array([0.05, -0.1, 0.0, 0.2]),
+            )],
+            fc1_w=np.full((1, FC1_UNITS), 0.02),
+            fc1_b=np.zeros(FC1_UNITS),
+            fc2_w=np.full((FC1_UNITS, 2), 0.03),
+            fc2_b=np.array([0.1, -0.2]),
+        ))
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -106,7 +115,7 @@ class TestForward:
         net = init_qnetwork(4, 6, 2, seed=3)
         x = np.random.default_rng(4).normal(size=(5, 4))
         q1, cache = forward(net, x)
-        q2 = forward_stack(stack_networks([net]), x[None, None])[0, 0]
+        q2 = forward_stack(net, x[None, None])[0, 0]
         np.testing.assert_array_equal(q1, q2)
 
     def test_dimension_mismatch_rejected(self):
@@ -116,14 +125,16 @@ class TestForward:
 
     def test_wrappers_match_reference_kernel(self):
         net = init_qnetwork(5, 7, 2, seed=8)
+        row = init_row_network(5, 7, 2, seed=8)
         x = np.random.default_rng(5).normal(size=(4, 6, 5))
         dq = np.random.default_rng(6).normal(size=(4, 2))
-        q_ref, cache_ref = forward_batch(net, x)
-        g_ref = backward_batch(net, cache_ref, dq)
+        q_ref, cache_ref = forward_batch(row, x)
+        g_ref = kernel_layout(backward_batch(row, cache_ref, dq), 2)
         for _ in range(2):
             q, cache = forward(net, x)
             assert q.tobytes() == q_ref.tobytes()
-            for a, b in zip(g_ref, backward(net, cache, dq)):
+            for a, b in zip(g_ref, backward(net, cache, dq), strict=True):
+                assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
 
@@ -139,11 +150,12 @@ class TestForwardStack:
     def test_bit_identical_to_reference_kernel(self, geometry, count, batch, steps, seed):
         dim, hidden, layers = geometry
         nets = [init_qnetwork(dim, hidden, layers, seed=seed + i) for i in range(count)]
+        rows = [init_row_network(dim, hidden, layers, seed=seed + i) for i in range(count)]
         x = np.random.default_rng(seed).normal(size=(count, batch, steps, dim))
         q = forward_stack(stack_networks(nets), x)
         assert q.shape == (count, batch, 2)
-        for net, xi, qi in zip(nets, x, q):
-            assert qi.tobytes() == forward_batch(net, xi, need_cache=False)[0].tobytes()
+        for row, xi, qi in zip(rows, x, q):
+            assert qi.tobytes() == forward_batch(row, xi, need_cache=False)[0].tobytes()
 
     def test_slice_is_the_sliced_networks(self):
         nets = [init_qnetwork(3, 8, 2, seed=i) for i in range(4)]
@@ -185,16 +197,18 @@ class TestBackwardStack:
         # reference kernel.
         dim, hidden, layers = geometry
         net = init_qnetwork(dim, hidden, layers, seed=seed)
+        row = init_row_network(dim, hidden, layers, seed=seed)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, steps, dim))
         dq = rng.normal(size=(batch, 2))
-        q_ref, cache_ref = forward_batch(net, x)
-        stack = stack_networks([net])
-        q, cache = forward_stack(stack, x[None], cache=True)
+        q_ref, cache_ref = forward_batch(row, x)
+        q, cache = forward_stack(net, x[None], cache=True)
         assert q[0].tobytes() == q_ref.tobytes()
-        grads = backward_stack(stack, cache, dq[None])
-        for g_ref, g in zip(backward_batch(net, cache_ref, dq), grads, strict=True):
-            assert g[0].tobytes() == g_ref.tobytes()
+        grads = backward_stack(net, cache, dq[None])
+        g_refs = kernel_layout(backward_batch(row, cache_ref, dq), layers)
+        for g_ref, g in zip(g_refs, grads, strict=True):
+            assert g.shape == g_ref.shape
+            assert g.tobytes() == g_ref.tobytes()
 
     def test_stacked_networks_get_their_own_gradients(self):
         nets = [init_qnetwork(3, 8, 2, seed=i) for i in range(3)]
@@ -204,10 +218,11 @@ class TestBackwardStack:
         stack = stack_networks(nets)
         _, cache = forward_stack(stack, x, cache=True)
         grads = backward_stack(stack, cache, dq)
-        for i, net in enumerate(nets):
-            _, cache_ref = forward_batch(net, x[i])
-            for g_ref, g in zip(backward_batch(net, cache_ref, dq[i]), grads):
-                np.testing.assert_array_equal(g[i], g_ref)
+        for i in range(len(nets)):
+            row = init_row_network(3, 8, 2, seed=i)
+            _, cache_ref = forward_batch(row, x[i])
+            for g_ref, g in zip(kernel_layout(backward_batch(row, cache_ref, dq[i]), 2), grads):
+                np.testing.assert_array_equal(g[i], g_ref[0])
 
     def test_foreign_cache_and_bad_dq_rejected(self):
         stack = stack_networks([init_qnetwork(3, 8, 1, seed=1)])
@@ -231,7 +246,7 @@ class TestBackward:
         net = init_qnetwork(3, 4, 1, seed=2)
         q, cache = forward(net, np.random.default_rng(1).normal(size=(4, 3)))
         dq = np.array([0.3, -0.7])
-        np.testing.assert_allclose(backward(net, cache, dq)[-1], dq)
+        np.testing.assert_allclose(backward(net, cache, dq)[-1][0, 0], dq)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -276,6 +291,14 @@ class TestHuberLoss:
         loss, grad = huber_loss(np.array([0.0, 0.0]), np.array([0.5, 2.0]))
         np.testing.assert_allclose(loss, [0.125, 1.5])
         np.testing.assert_allclose(grad, [-0.5, -1.0])
+
+
+    def test_huge_difference_raises_no_warning(self):
+        # Only the linear branch's value is kept, so nothing may overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = huber_loss(1e200, 0.0)
+        assert (loss, grad) == (1e200 - 0.5, 1.0)
 
 
 class TestAdam:
@@ -338,10 +361,10 @@ class TestCloneAndCheckpoints:
     def test_clone_is_independent(self):
         net = init_qnetwork(3, 4, 2, seed=5)
         copy = clone_params(net)
-        net.layers[0].w_in[0, 0] += 1.0
-        net.fc2_b[0] += 1.0
-        assert copy.layers[0].w_in[0, 0] != net.layers[0].w_in[0, 0]
-        assert copy.fc2_b[0] != net.fc2_b[0]
+        net.layers[0].w_in[0, 0, 0, 0] += 1.0
+        net.fc2_b[0, 0, 0] += 1.0
+        assert copy.layers[0].w_in[0, 0, 0, 0] != net.layers[0].w_in[0, 0, 0, 0]
+        assert copy.fc2_b[0, 0, 0] != net.fc2_b[0, 0, 0]
 
     def test_clone_of_zero_net_is_zero(self):
         copy = clone_params(zero_qnetwork(2, 3, 1))
@@ -406,7 +429,39 @@ class TestCloneAndCheckpoints:
             load_checkpoint(path)
 
 
+    def test_init_payload_is_the_row_draws(self, tmp_path):
+        # The file layout is init_qnetwork's draws as drawn, in param_list order.
+        path = tmp_path / "net.qnet"
+        save_checkpoint(init_qnetwork(5, 6, 2, seed=3), path)
+        row = init_row_network(5, 6, 2, seed=3)
+        payload = path.read_bytes()[struct.calcsize("<4sIIIIII"):]
+        assert payload == b"".join(p.astype("<f8").tobytes() for p in row.params())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_not_saved(self, tmp_path, bad):
+        net = init_qnetwork(3, 4, 1, seed=1)
+        net.fc2_b[0, 0, 1] = bad
+        path = tmp_path / "net.qnet"
+        with pytest.raises(PhaseseekError, match="non-finite"):
+            save_checkpoint(net, path)
+        assert not path.exists()
+
+    def test_stacked_networks_not_saved(self, tmp_path):
+        nets = stack_networks([init_qnetwork(3, 4, 1, seed=i) for i in range(2)])
+        with pytest.raises(ValueError):
+            save_checkpoint(nets, tmp_path / "net.qnet")
+
+
 class TestInit:
+    def test_kernel_layout_of_the_row_draws(self):
+        # Gate-major blocks with the sigmoid gates negated, checked against
+        # the test-local conversion.
+        net = init_qnetwork(4, 5, 2, seed=7)
+        expected = kernel_layout(init_row_network(4, 5, 2, seed=7).params(), 2)
+        for a, b in zip(param_list(net), expected, strict=True):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
     def test_seeded_init_reproducible(self):
         a = init_qnetwork(4, 5, 2, seed=21)
         b = init_qnetwork(4, 5, 2, seed=21)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from phaseseek import inference, nets, training
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import FeatureSequence, SynthConfig, TransitionSet, labels_to_transitions, synth_dataset
 from phaseseek.inference import FixedInit
 from phaseseek.nets import (
     adam_init,
+    adam_step,
     clone_params,
+    copy_params_into,
     forward,
+    huber_loss,
     init_qnetwork,
     param_list,
     zero_qnetwork,
@@ -29,6 +33,7 @@ from phaseseek.training import (
     train,
     window_rows,
 )
+from reference_kernel import backward_batch, forward_batch, init_row_network, kernel_layout
 
 
 _PADDED_ROWS = 40
@@ -239,6 +244,48 @@ class TestDqnUpdate:
         assert loss < 1e-3
 
 
+def _row_dqn_update(row, row_target, memory, padded, batch, gamma, adam, rng):
+    # dqn_update on row-layout weights, through the row-major reference kernel.
+    states, next_states, actions, rewards = memory.sample(batch, rng)
+    q, cache = forward_batch(row, padded[states])
+    q_next = forward_batch(row_target, padded[next_states], need_cache=False)[0]
+    rows = np.arange(batch)
+    losses, dpred = huber_loss(q[rows, actions], rewards + gamma * q_next.max(axis=1))
+    dq = np.zeros((batch, 2))
+    dq[rows, actions] = dpred / batch
+    adam_step(row.params(), backward_batch(row, cache, dq), adam)
+    return float(losses.mean())
+
+
+class TestRowLayoutOracle:
+    def test_updates_match_row_layout_bit_for_bit(self):
+        # The same seed and batches through dqn_update and through the
+        # reference kernel with Adam on row-layout weights, target syncs
+        # included: every loss and every final weight agree bit for bit.
+        rng = np.random.default_rng(8)
+        padded = _padded(rng)
+        cfg = TrainConfig(window_len=2, hidden_dim=5, num_layers=2, batch=8, gamma=0.9, lr=1e-2)
+        net, target, adam, memory = _agent(3, cfg)
+        row = init_row_network(3, 5, 2, seed=cfg.seed)
+        row_target = init_row_network(3, 5, 2, seed=cfg.seed)
+        row_adam = adam_init(row.params(), lr=cfg.lr)
+        for _ in range(40):
+            memory.push(*_record(rng, action=int(rng.integers(2)), reward=int(rng.choice([-1, 1]))))
+        rng_net, rng_row = np.random.default_rng(9), np.random.default_rng(9)
+        for k in range(12):
+            loss = dqn_update(net, target, memory, padded, cfg.batch, cfg.gamma, adam, rng_net)
+            row_loss = _row_dqn_update(row, row_target, memory, padded, cfg.batch, cfg.gamma,
+                                       row_adam, rng_row)
+            assert loss == row_loss
+            if k % 4 == 3:
+                copy_params_into(net, target)
+                for dst, src in zip(row_target.params(), row.params()):
+                    dst[...] = src
+        for a, b in zip(param_list(net), kernel_layout(row.params(), 2), strict=True):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 def _tiny_dataset(num_videos=3, t=30, dim=4, seed=0):
     cfg = SynthConfig(num_phases=2, min_len=t // 2, max_len=t // 2, dim=dim,
                       noise_sigma=0.02)
@@ -337,6 +384,20 @@ class TestTrain:
         n = len(begin_memory)
         assert n > 0
         assert set(np.unique(begin_memory._rewards[:n])) <= {-1, 1}
+
+    def test_no_network_is_restacked(self, monkeypatch):
+        # Training evaluates and updates each network where it lies: no
+        # step copies a network into a stack.
+        calls = []
+        for module in (nets, training, inference):
+            real = getattr(module, "stack_networks", None)
+            if real is not None:
+                monkeypatch.setattr(module, "stack_networks",
+                                    lambda group, real=real: calls.append(len(group)) or real(group))
+        logs = []
+        train(_tiny_dataset(), 1, _tiny_config(gamma=0.9), FixedInit(0.4, 0.9), on_video=logs.append)
+        assert all(np.isfinite(r.begin_loss) for r in logs[1:])  # updates ran
+        assert calls == []
 
     def test_zero_updates_warn(self, caplog):
         dataset = _tiny_dataset()
