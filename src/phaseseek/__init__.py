@@ -78,7 +78,6 @@ from .training import (
     SearchPolicy,
     TrainConfig,
     apply_action,
-    build_state,
     compute_reward,
     dqn_update,
     select_action,

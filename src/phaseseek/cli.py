@@ -20,6 +20,7 @@ import numpy as np
 from .compose import gaussian_compose
 from .errors import PhaseseekError
 from .features import (
+    MAX_VALUES,
     PhaseLabels,
     SynthConfig,
     TransitionSet,
@@ -44,10 +45,6 @@ from .nets import load_checkpoint, save_checkpoint
 from .training import SearchPolicy, TrainConfig, train
 
 TRANSITIONS_SCHEMA_VERSION = 1
-
-# Largest clips x dim of one synthetic video (--phases x --max-len x --dim):
-# 2**27 float64 values, 1 GiB.
-SYNTH_MAX_VALUES = 2**27
 
 # One distinct color per phase id (cycled); the last entry is reused for
 # the uncovered-clip sentinel when it appears.
@@ -151,15 +148,20 @@ _TRAIN_FLAGS = {"episodes_max": "episodes", "max_steps_per_video": "max_steps",
                 "hidden_dim": "hidden", "num_layers": "layers", "memory_capacity": "memory"}
 
 
+def _flag_error(exc: ValueError, flags: dict[str, str]) -> UsageError:
+    """A usage error that names the flags of the config fields ``exc`` names."""
+    words = set(re.findall(r"\w+", str(exc)))
+    named = [f"--{dest.replace('_', '-')}" for field, dest in flags.items() if field in words]
+    return UsageError(f"{', '.join(named)}: {exc}" if named else str(exc))
+
+
 def _config(cls, flags: dict[str, str], args, **fixed):
     """``cls`` with each field read from its flag; a ``ValueError`` becomes a
-    usage error that names the flags of the fields its message names."""
+    usage error that names its fields' flags."""
     try:
         return cls(**fixed, **{field: getattr(args, dest) for field, dest in flags.items()})
     except ValueError as exc:
-        words = set(re.findall(r"\w+", str(exc)))
-        named = [f"--{dest.replace('_', '-')}" for field, dest in flags.items() if field in words]
-        raise UsageError(f"{', '.join(named)}: {exc}" if named else str(exc)) from exc
+        raise _flag_error(exc, flags) from exc
 
 
 def _validate_common(args) -> None:
@@ -212,9 +214,9 @@ def cmd_synth(args) -> int:
         raise UsageError("--count must be >= 0")
     cfg = _config(SynthConfig, _SYNTH_FLAGS, args)
     values = cfg.num_phases * cfg.max_len * cfg.dim
-    if values > SYNTH_MAX_VALUES:
+    if values > MAX_VALUES:
         raise UsageError(f"--phases x --max-len x --dim is {values} feature values per video, "
-                         f"above the limit of {SYNTH_MAX_VALUES}")
+                         f"above the limit of {MAX_VALUES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (seq, labels) in enumerate(synth_dataset(cfg, args.count, args.seed)):
@@ -247,11 +249,14 @@ def cmd_train(args) -> int:
     if args.init == "rmi":
         init = PredictionInit(_fit_clip_classifier(labeled, args).predict, fallback=fi)
 
+    log_rows: list = []
+    try:
+        policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
+    except ValueError as exc:  # networks or window padding above MAX_VALUES
+        raise _flag_error(exc, _TRAIN_FLAGS) from exc
+
     ckpt_dir = Path(args.checkpoints_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    log_rows: list = []
-    policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
-
     save_checkpoint(policy.begin_net, ckpt_dir / f"phase{args.phase}_begin.qnet")
     save_checkpoint(policy.end_net, ckpt_dir / f"phase{args.phase}_end.qnet")
     meta = {
@@ -376,7 +381,13 @@ def cmd_infer(args) -> int:
                 init = PredictionInit(lambda video, labels=predicted: labels, fallback=init)
             searches.append((policies[phase], seq, init.initial_positions(seq, phase)))
         videos.append((stem, seq, rmi))
-    results = iter(rollout_many(searches, max_steps=args.max_steps))
+    try:
+        results = iter(rollout_many(searches, max_steps=args.max_steps))
+    except ValueError as exc:
+        # Window padding above MAX_VALUES: every phase searches every video,
+        # so the widest window's padding is the largest.
+        widest = max(phases, key=lambda phase: policies[phase].window_len)
+        raise PhaseseekError(f"{_meta_path(ckpt_dir, widest)}: {exc}") from exc
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -480,6 +491,9 @@ def cmd_ribbon(args) -> int:
     sequences = [load_labels(path).labels for path in args.labels]
     width = max(len(s) for s in sequences)
     height = args.band_height * len(sequences)
+    if width * height > MAX_VALUES:
+        raise UsageError(f"--band-height: a {width}x{height} ribbon has {width * height} "
+                         f"pixels, above the limit of {MAX_VALUES}")
     lines = ["P3", f"{width} {height}", "255"]
     for seq in sequences:
         row_lines = []

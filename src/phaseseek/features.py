@@ -37,6 +37,11 @@ _HEADER = struct.Struct("<4sIIIIf")  # magic, version, T, D, K, fps
 # draw, so at this bound every feature stays below 1.4e38 < float32 max.
 MAX_NOISE_SIGMA = 1e37
 
+# Most values one array sized by a flag or an input file may hold: 2**27,
+# 1 GiB of float64.  Synthetic videos, window padding, networks and ribbon
+# images are checked against it before anything is allocated.
+MAX_VALUES = 2**27
+
 
 @dataclass
 class FeatureSequence:
@@ -405,7 +410,7 @@ def _generate_video(
     # boundary (the boundary between clips e-1 and e sits at e - 0.5).
     b = cfg.blend_width
     if b > 0:
-        edges = np.cumsum(lengths)[:-1]
+        edges = np.cumsum(lengths)[:-1].tolist()  # Python ints: e + b cannot overflow
         for block, e in enumerate(edges):
             left, right = protos[present[block]], protos[present[block + 1]]
             for j in range(max(e - b, 0), min(e + b, len(labels))):

@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import NUM_ACTIONS, QNetwork, forward_stack, stack_networks
+from .nets import QNetwork, q_values, stack_networks
 from .training import (
-    ACTION_LEFT,
-    ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
     SearchPolicy,
     apply_action,
+    greedy,
     pad_videos,
     window_rows,
 )
@@ -181,89 +180,15 @@ class RolloutResult:
             raise ValueError("begin must not exceed end")
 
 
-# Batch geometry of every rollout forward pass.  OpenBLAS's x86-64 dgemm
-# rounds a product row differently when the row falls in a remainder
-# block of fewer than four rows (its micro-kernel height), and the 64x50
-# head product changes path again from about 1000 rows.  Padding each
-# network's states with zero states to a multiple of four rows, at most
-# 256, keeps each state's Q-values bit-identical whatever other states
-# (or networks) share its pass; tests/test_inference.py checks this on
-# the host BLAS.  A pass holds at most _MAX_ROWS rows summed over its
-# networks, which bounds the kernel's (N, 4, B, H) buffers to about
-# 0.5 MB at H=64.
-_ROW_MULTIPLE = 4
-_MAX_ROWS = 128
-
-
 class _StackGroup:
-    # Networks of one geometry that read states of one (2L, D) shape, and
-    # the videos they search.  freeze() copies the networks into one stack,
-    # which forward_stack passes evaluate together, and the videos into one
-    # padded feature matrix, which their states are gathered from.
-    def __init__(self, state_shape: tuple[int, ...]):
-        self.state_shape = state_shape
-        self.window_len = state_shape[0] // 2
-        self.nets: list[QNetwork] = []
-        self._rows: dict[int, int] = {}
-        self.videos: dict[int, FeatureSequence] = {}
-
-    def row(self, net: QNetwork) -> int:
-        """Position of ``net`` in the stack, added on first sight."""
-        if id(net) not in self._rows:
-            self._rows[id(net)] = len(self.nets)
-            self.nets.append(net)
-        return self._rows[id(net)]
-
-    def freeze(self) -> None:
-        self.stack = stack_networks(self.nets)
-        if self.videos:
-            self.padded, base = pad_videos(list(self.videos.values()), self.window_len // 2)
-            self.base = dict(zip(self.videos, base.tolist()))
-
-
-def _q_values(group: _StackGroup, states: list[np.ndarray]) -> list[np.ndarray]:
-    # Q-values of each stacked network on its own states, in passes of
-    # padded blocks (see the block geometry above).  Only the stack rows
-    # from the first to the last network with states run: the first and
-    # last networks (the first phase's begin agent and the last phase's end
-    # agent) typically settle first, at the video's ends, and never resume.
-    q = [np.empty((len(rows), NUM_ACTIONS)) for rows in states]
-    busy = [i for i, rows in enumerate(states) if len(rows)]
-    if not busy:
-        return q
-    width = min(max(map(len, states)), _MAX_ROWS)
-    width += -width % _ROW_MULTIPLE
-    per_pass, last = _MAX_ROWS // width, busy[-1] + 1
-    for first in range(busy[0], last, per_pass):
-        nets = range(first, min(first + per_pass, last))
-        stack = group.stack[nets.start: nets.stop]
-        for lo in range(0, max(len(states[i]) for i in nets), width):
-            x = np.zeros((len(nets), width) + group.state_shape)
-            blocks = [states[i][lo: lo + width] for i in nets]
-            for xi, block in zip(x, blocks):
-                if len(block):
-                    xi[: len(block)] = block
-            for i, block, qb in zip(nets, blocks, forward_stack(stack, x)):
-                q[i][lo: lo + len(block)] = qb[: len(block)]
-    return q
-
-
-def _group_actions(group: _StackGroup, states: list[np.ndarray]) -> list[np.ndarray]:
-    # Greedy actions of each stacked network on its own states; ties go Right.
-    return [np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
-            for q in _q_values(group, states)]
-
-
-def greedy_actions(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    """Greedy action for each state of a ``(B, 2L, D)`` batch; ties go Right.
-
-    A state's action does not depend on which other states share its batch.
-    """
-    states = np.asarray(states, dtype=np.float64)
-    group = _StackGroup(states.shape[1:])
-    group.row(net)
-    group.freeze()
-    return _group_actions(group, [states])[0]
+    # Networks of one geometry that read windows of one length, stacked for
+    # q_values, and the videos they search in one padded feature matrix,
+    # which their states are gathered from.
+    def __init__(self, nets: list[QNetwork], videos: list[FeatureSequence], window_len: int):
+        self.stack = stack_networks(nets)
+        self.padded, base = pad_videos(videos, window_len // 2)
+        self.base = dict(zip(map(id, videos), base.tolist()))
+        self.window_len = window_len
 
 
 def rollout_many(
@@ -275,9 +200,9 @@ def rollout_many(
     Each round, the networks of one geometry and window length evaluate
     the states of all their unsettled agents together: one index gathers
     the states from the group's padded feature matrix (see
-    :func:`~phaseseek.training.pad_videos`), and
-    :func:`~phaseseek.nets.forward_stack` passes of at most 128 state rows
-    evaluate them (one pass per round unless more rows wait).  Both agents
+    :func:`~phaseseek.training.pad_videos`), and one
+    :func:`~phaseseek.nets.q_values` call evaluates them (one pass unless a
+    network has more than 256 states).  Both agents
     of a search decide on the pre-move state; begin moves first and end is
     clamped against begin's new position.  An agent settles at min(p, p')
     once its last three positions are (p, p', p) with |p - p'| <= 1: a
@@ -289,28 +214,30 @@ def rollout_many(
     includes every clip whose features enter a state.  Results come back in
     input order and equal those of rolling out each search alone.
     """
-    groups: dict[tuple, _StackGroup] = {}
-    slots, starts = [], []  # (group, stack row, video) per agent; starts per search
+    # Per group key: each network's (stack row, network) and each video.
+    members: dict[tuple, tuple[dict, dict]] = {}
+    slots, starts = [], []  # (group key, stack row, video) per agent; starts per search
     for policy, video, init_pos in searches:
         for net in (policy.begin_net, policy.end_net):
             if net.input_dim != video.dim:
                 raise PhaseseekError(f"video feature dim {video.dim} does not match "
                                      f"network input dim {net.input_dim}")
             key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
-            group = groups.setdefault(key, _StackGroup((2 * policy.window_len, video.dim)))
-            group.videos[id(video)] = video
-            slots.append((group, group.row(net), id(video)))
+            nets, videos = members.setdefault(key, ({}, {}))
+            row = nets.setdefault(id(net), (len(nets), net))[0]
+            videos[id(video)] = video
+            slots.append((key, row, id(video)))
         starts.append(sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos))
-    for group in groups.values():
-        group.freeze()
+    groups = {key: _StackGroup([net for _, net in nets.values()], list(videos.values()), key[-1])
+              for key, (nets, videos) in members.items()}
 
     # Per agent, shape (searches, 2) with begin in column 0: its stack
     # group, stack row and video base row, its position and previous
     # position, whether it settled, and the range of positions it reached.
     n = len(searches)
-    index = {id(group): g for g, group in enumerate(groups.values())}
+    index = {key: g for g, key in enumerate(groups)}
     group_of, row_of, base = np.array(
-        [(index[id(group)], row, group.base[video]) for group, row, video in slots],
+        [(index[key], row, groups[key].base[video]) for key, row, video in slots],
         dtype=np.int64).reshape(n, 2, 3).transpose(2, 0, 1)
     num_clips = np.array([video.num_clips for _, video, _ in searches], dtype=np.int64)
     pos = np.array(starts, dtype=np.int64).reshape(n, 2)
@@ -331,12 +258,9 @@ def rollout_many(
             mine = np.flatnonzero(group_of[who, role] == g)
             if not len(mine):
                 continue
-            mine = mine[np.argsort(row_of[who[mine], role[mine]], kind="stable")]
             s, r = who[mine], role[mine]
             states = group.padded[window_rows(base[s, r][:, None] + pos[s], group.window_len)]
-            counts = np.bincount(row_of[s, r], minlength=len(group.nets))
-            acts = _group_actions(group, np.split(states, np.cumsum(counts)[:-1]))
-            actions[mine] = np.concatenate(acts)
+            actions[mine] = greedy(q_values(group.stack, row_of[s, r], states))
         # All begin moves precede all end moves, so end is clamped against
         # begin's new (or settled) position.
         for r, agent in enumerate((ROLE_BEGIN, ROLE_END)):

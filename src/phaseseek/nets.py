@@ -16,9 +16,10 @@ evaluates every network of a :class:`QNetwork` (one, or several joined by
 :func:`stack_networks`) in one pass, and, when asked to cache, keeps every
 step's activations for :func:`backward_stack`, which returns gradients
 shaped exactly like :func:`param_list`.  :func:`forward` and
-:func:`backward` are its one-network wrappers.  Training code is the
-single writer of a network's arrays; frozen networks are safe to share
-across threads.
+:func:`backward` are its one-network wrappers, and :func:`q_values`
+evaluates states under chosen networks of a stack for greedy search.
+Training code is the single writer of a network's arrays; frozen networks
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import write_atomic
+from .features import MAX_VALUES, write_atomic
 
 FC1_UNITS = 50
 NUM_ACTIONS = 2
@@ -129,12 +130,25 @@ def _from_file_layout(input_dim: int, hidden_dim: int, params: list[np.ndarray])
                      + [p.reshape(1, -1, p.shape[-1]).copy() for p in head])
 
 
+def _param_count(input_dim: int, hidden_dim: int, num_layers: int) -> int:
+    # Values in one network of these dims; Python ints, so no overflow.
+    h = hidden_dim
+    return ((input_dim + h + 1) * 4 * h + (num_layers - 1) * (2 * h + 1) * 4 * h
+            + (h + 1) * FC1_UNITS + (FC1_UNITS + 1) * NUM_ACTIONS)
+
+
 def init_qnetwork(
     input_dim: int, hidden_dim: int = 64, num_layers: int = 2, seed: int = 0
 ) -> QNetwork:
-    """Build a network with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights."""
+    """Build a network with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights.
+
+    Refuses dims whose weights would exceed ``MAX_VALUES`` values."""
     if min(input_dim, hidden_dim, num_layers) < 1:
         raise ValueError("input_dim, hidden_dim and num_layers must be >= 1")
+    values = _param_count(input_dim, hidden_dim, num_layers)
+    if values > MAX_VALUES:
+        raise ValueError(f"input_dim {input_dim}, hidden_dim {hidden_dim} and num_layers "
+                         f"{num_layers} make {values} weights, above the limit of {MAX_VALUES}")
     rng = np.random.default_rng(seed)
     params = []
     for shape in _file_shapes(input_dim, hidden_dim, num_layers):
@@ -295,6 +309,46 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     if not cache:
         return q
     return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1, *cache_room[1:])
+
+
+# Batch geometry of q_values.  OpenBLAS's x86-64 dgemm rounds a product row
+# differently when the row falls in a remainder block of fewer than four
+# rows (its micro-kernel height), and the 64x50 head product changes path
+# again from about 1000 rows.  Padding each network's states with zero
+# states to a multiple of four rows, at most 256, keeps each state's
+# Q-values bit-identical whatever other states (or networks) share its
+# pass; tests/test_inference.py checks this on the host BLAS.
+_ROW_MULTIPLE = 4
+_MAX_ROWS = 256
+
+
+def q_values(stack: QNetwork, which, states) -> np.ndarray:
+    """Q-values (M, NUM_ACTIONS) of each ``states[m]`` under network ``which[m]``.
+
+    ``states`` is (M, 2L, D) and ``which`` holds M rows of ``stack``.  Each
+    state takes the next slot of its network's batch, and one uncached
+    :func:`forward_stack` pass evaluates every batch, zero-padded to one
+    width, on the stack rows from the lowest to the highest ``which``; each
+    further 256 states of the busiest network add one pass.  A state's
+    Q-values do not depend on the other states or networks of the call.
+    """
+    which = np.asarray(which, dtype=np.int64)
+    states = np.asarray(states, dtype=np.float64)
+    if not len(which):
+        return np.empty((0, NUM_ACTIONS))
+    first = int(which.min())
+    net = which - first
+    counts = np.bincount(net)
+    slot = np.empty_like(net)
+    slot[np.argsort(net, kind="stable")] = (np.arange(len(net))
+                                            - np.repeat(np.cumsum(counts) - counts, counts))
+    busiest = int(counts.max())
+    width = min(busiest + -busiest % _ROW_MULTIPLE, _MAX_ROWS)
+    passes, row = np.divmod(slot, width)
+    x = np.zeros((-(-busiest // width), len(counts), width) + states.shape[1:])
+    x[passes, net, row] = states
+    stack = stack[first: first + len(counts)]
+    return np.stack([forward_stack(stack, batch) for batch in x])[passes, net, row]
 
 
 def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
@@ -489,10 +543,9 @@ def load_checkpoint(path) -> QNetwork:
         raise PhaseseekError(f"{path}: head dims {fc1}/{actions} not supported")
     if min(d, h, m) < 1:
         raise PhaseseekError(f"{path}: zero dimension in header (D={d}, H={h}, layers={m})")
-    # Check the payload length against the header dims (Python ints, no
-    # overflow) before allocating anything the header sizes.
-    values = (d + h + 1) * 4 * h + (m - 1) * (2 * h + 1) * 4 * h
-    values += (h + 1) * FC1_UNITS + (FC1_UNITS + 1) * NUM_ACTIONS
+    # Check the payload length against the header dims before allocating
+    # anything the header sizes.
+    values = _param_count(d, h, m)
     payload = len(raw) - _CKPT_HEADER.size
     if payload < 8 * values:
         raise PhaseseekError(f"{path}: checkpoint payload truncated "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import FeatureSequence, TransitionSet
+from .features import MAX_VALUES, FeatureSequence, TransitionSet
 from .nets import (
     AdamState,
     QNetwork,
@@ -36,6 +36,7 @@ from .nets import (
     huber_loss,
     init_qnetwork,
     param_list,
+    q_values,
 )
 
 logger = logging.getLogger(__name__)
@@ -148,7 +149,13 @@ def pad_videos(videos: list[FeatureSequence], pad: int) -> tuple[np.ndarray, np.
     """The videos' clip features in one float64 matrix with ``pad`` zero rows
     around each video, and each video's base row: clip ``c`` of video ``v``
     is row ``base[v] + c``.  Windows of up to ``2 * pad + 1`` clips centered
-    on a clip then read only that video's clips and zero rows."""
+    on a clip then read only that video's clips and zero rows.  Refuses
+    zero padding of more than ``MAX_VALUES`` values before allocating."""
+    zeros = (len(videos) + 1) * pad * videos[-1].dim
+    if zeros > MAX_VALUES:
+        raise ValueError(f"windows of window_len {2 * pad + 1} need {zeros} zero padding "
+                         f"values around {len(videos)} video(s) of dim {videos[-1].dim}, "
+                         f"above the limit of {MAX_VALUES}")
     base = np.cumsum([pad] + [v.num_clips + pad for v in videos[:-1]])
     padded = np.zeros((base[-1] + videos[-1].num_clips + pad, videos[-1].dim))
     for b, v in zip(base, videos):
@@ -162,19 +169,6 @@ def window_rows(centers, window_len: int) -> np.ndarray:
     centers = np.asarray(centers)
     rows = centers[..., None] + (np.arange(window_len) - window_len // 2)
     return rows.reshape(centers.shape[:-1] + (-1,))
-
-
-def build_state(
-    seq: FeatureSequence, pos_begin: int, pos_end: int, window_len: int
-) -> np.ndarray:
-    """Stack both windows' clip features (begin window first) into one
-    ``(2L, D)`` state; both centers must lie in the video, and window rows
-    past its ends are zero."""
-    if not 0 <= pos_begin <= pos_end < seq.num_clips:
-        raise PhaseseekError(f"window order violated or outside the video: begin {pos_begin}, "
-                             f"end {pos_end}, {seq.num_clips} clips")
-    padded, (base,) = pad_videos([seq], window_len // 2)
-    return padded[window_rows(base + np.array([pos_begin, pos_end]), window_len)]
 
 
 def apply_action(pos, action, num_clips, partner, role: str):
@@ -197,18 +191,18 @@ def compute_reward(old_center: int, new_center: int, gt: int) -> int:
     return 1 if abs(new_center - gt) < abs(old_center - gt) else -1
 
 
+def greedy(q: np.ndarray) -> np.ndarray:
+    """Greedy actions for (M, NUM_ACTIONS) Q-values; ties go Right."""
+    return np.where(q[:, ACTION_RIGHT] >= q[:, ACTION_LEFT], ACTION_RIGHT, ACTION_LEFT)
+
+
 def select_action(
     net: QNetwork, state: np.ndarray, epsilon: float, rng: np.random.Generator | None
 ) -> int:
-    """Epsilon-greedy action on a ``(2L, D)`` state; greedy ties resolve to Right."""
+    """Epsilon-greedy action on a ``(2L, D)`` state (see :func:`greedy`)."""
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(2))
-    # Four rows, the state and zero padding: its Q-values then equal the
-    # ones any padded batch of the kernel gives it (see forward_stack).
-    x = np.zeros((1, 4) + np.shape(state))
-    x[0, 0] = state
-    q = forward_stack(net, x)[0, 0]
-    return ACTION_RIGHT if q[ACTION_RIGHT] >= q[ACTION_LEFT] else ACTION_LEFT
+    return int(greedy(q_values(net, [0], state[None]))[0])
 
 
 def dqn_update(

@@ -423,6 +423,33 @@ class TestMalformedInputs:
         assert code == 1
         assert "--max-len" in err and "Traceback" not in err and "MemoryError" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "100000001"), ("--hidden", "1000000"), ("--layers", "100000000"),
+    ])
+    def test_oversized_train_flags(self, workspace, tmp_path, flag, value):
+        # Window padding asked for 11.9 GiB, --hidden for 29.1 TiB of weights,
+        # and --layers raised MemoryError; each is refused before allocating.
+        code, err = _run(["train", "--phase", 0, "--phases", 2, "--features-dir",
+                          workspace / "data", "--labels-dir", workspace / "data",
+                          "--checkpoints-dir", tmp_path / "ck", *TINY_TRAIN, flag, value],
+                         address_space=2 << 30)
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "ck").exists()
+
+    def test_oversized_meta_window(self, workspace, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        meta_path = ckpt / "phase1_meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "window": 100000001}))
+        code, err = _run(["infer", "--phases", 2, "--features-dir", workspace / "data",
+                          "--checkpoints-dir", ckpt, "--out-dir", tmp_path / "out"],
+                         address_space=2 << 30)
+        assert code == 2
+        assert "phase1_meta.json" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_synth_bad_lengths_are_usage_errors(self, tmp_path):
         code, err = _run(["synth", "--out-dir", tmp_path / "out", "--min-len", "0"])
         assert code == 1
@@ -509,6 +536,14 @@ class TestRibbon:
 
     def test_empty_input_is_usage_error(self, tmp_path):
         assert main(["ribbon", "--out", str(tmp_path / "x.ppm")]) == 1
+
+    def test_oversized_band_height_is_usage_error(self, tmp_path):
+        (tmp_path / "c.csv").write_text("clip_index,phase\n0,0\n1,1\n")
+        code, err = _run(["ribbon", tmp_path / "c.csv", "--out", tmp_path / "r.ppm",
+                          "--band-height", 1000000000], address_space=2 << 30)
+        assert code == 1
+        assert "--band-height" in err and "Traceback" not in err
+        assert not (tmp_path / "r.ppm").exists()
 
 
 class TestConfigFile:

@@ -246,5 +246,7 @@ class TestConfigFuzz:
     @given(raw=_config_documents())
     @example(raw=b"lr=0")
     @example(raw=b"seed=-1\nfps=1e308\neps_decay=1e308")
+    @example(raw=b"blend=9223372036854775800")  # e + b overflowed int64 in synth
+    @example(raw=b"blend=9223372036854775808")
     def test_key_value_documents(self, one_video, raw):
         _run_with_config(one_video, raw)

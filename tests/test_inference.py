@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaseseek.inference as inference
+import phaseseek.nets as nets
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import FeatureSequence, TransitionSet
 from phaseseek.inference import (
@@ -12,19 +13,18 @@ from phaseseek.inference import (
     SearchPolicy,
     coverage_rate,
     fit_fi,
-    greedy_actions,
     rollout,
     rollout_many,
     train_clip_classifier,
 )
-from phaseseek.nets import init_qnetwork, zero_qnetwork
+from phaseseek.nets import forward_stack, init_qnetwork, q_values, stack_networks, zero_qnetwork
 from phaseseek.training import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
     apply_action,
-    build_state,
+    greedy,
 )
 
 
@@ -147,19 +147,20 @@ def _pair(dim=1, window=1):
     return SearchPolicy(init_qnetwork(dim, 4, 1, seed=0), init_qnetwork(dim, 4, 1, seed=1), window)
 
 
-def _scripted_actions(pair, begin_rule, end_rule, monkeypatch):
+def _scripted_actions(begin_rule, end_rule, monkeypatch):
     # Replace greedy action selection with position-based scripts; with
     # window_len 1 and one-dimensional position features, each state's
-    # rows are [[pos_begin], [pos_end]].  The fake answers for every
-    # network of a stack group, each on its own list of states.
-    def fake(group, states):
-        return [
-            [begin_rule(int(rows[0, 0])) for rows in net_states] if net is pair.begin_net
-            else [end_rule(int(rows[1, 0])) for rows in net_states]
-            for net, net_states in zip(group.nets, states)
-        ]
+    # rows are [[pos_begin], [pos_end]].  A scripted test runs one search,
+    # whose begin and end networks are stack rows 0 and 1; the fake gives
+    # the scripted action the higher Q-value.
+    def fake(stack, which, states):
+        actions = [begin_rule(int(rows[0, 0])) if net == 0 else end_rule(int(rows[1, 0]))
+                   for net, rows in zip(which, states)]
+        q = np.zeros((len(actions), 2))
+        q[np.arange(len(actions)), actions] = 1.0
+        return q
 
-    monkeypatch.setattr(inference, "_group_actions", fake)
+    monkeypatch.setattr(inference, "q_values", fake)
 
 
 def _position_video(t):
@@ -170,7 +171,7 @@ class TestRollout:
     def test_two_cycle_reports_lower_position(self, monkeypatch):
         pair = _pair()
         # begin oscillates: Right below 5, Left at or above 5 -> cycle (4, 5)
-        _scripted_actions(pair, lambda p: ACTION_RIGHT if p < 5 else ACTION_LEFT,
+        _scripted_actions(lambda p: ACTION_RIGHT if p < 5 else ACTION_LEFT,
                           lambda p: ACTION_LEFT if p > 8 else ACTION_RIGHT, monkeypatch)
         result = rollout(pair, _position_video(10), (2, 9))
         assert result.converged
@@ -179,7 +180,7 @@ class TestRollout:
 
     def test_double_clamp_fixed_point(self, monkeypatch):
         pair = _pair()
-        _scripted_actions(pair, lambda p: ACTION_LEFT, lambda p: ACTION_LEFT, monkeypatch)
+        _scripted_actions(lambda p: ACTION_LEFT, lambda p: ACTION_LEFT, monkeypatch)
         result = rollout(pair, _position_video(20), (0, 0))
         assert result.converged
         assert (result.begin, result.end) == (0, 0)
@@ -187,14 +188,14 @@ class TestRollout:
 
     def test_always_right_settles_at_last_clip(self, monkeypatch):
         pair = _pair()
-        _scripted_actions(pair, lambda p: ACTION_RIGHT, lambda p: ACTION_RIGHT, monkeypatch)
+        _scripted_actions(lambda p: ACTION_RIGHT, lambda p: ACTION_RIGHT, monkeypatch)
         result = rollout(pair, _position_video(50), (10, 20), max_steps=200)
         assert result.end == 49
         assert result.steps_taken <= 200
 
     def test_step_cap_reports_unconverged(self, monkeypatch):
         pair = _pair()
-        _scripted_actions(pair, lambda p: ACTION_RIGHT, lambda p: ACTION_RIGHT, monkeypatch)
+        _scripted_actions(lambda p: ACTION_RIGHT, lambda p: ACTION_RIGHT, monkeypatch)
         result = rollout(pair, _position_video(500), (0, 5), max_steps=10)
         assert not result.converged
         assert result.steps_taken == 10
@@ -223,7 +224,7 @@ class TestRollout:
 
         monkeypatch.setattr(inference, "pad_videos", recording_pad_videos)
         pair = _pair(window=3)
-        _scripted_actions(pair, lambda p: ACTION_RIGHT if p < 30 else ACTION_LEFT,
+        _scripted_actions(lambda p: ACTION_RIGHT if p < 30 else ACTION_LEFT,
                           lambda p: ACTION_LEFT if p > 40 else ACTION_RIGHT, monkeypatch)
         result = rollout(pair, video, (20, 50))
         assert result.converged
@@ -231,7 +232,7 @@ class TestRollout:
 
     def test_order_kept_when_begin_chases_end(self, monkeypatch):
         pair = _pair()
-        _scripted_actions(pair, lambda p: ACTION_RIGHT, lambda p: ACTION_LEFT, monkeypatch)
+        _scripted_actions(lambda p: ACTION_RIGHT, lambda p: ACTION_LEFT, monkeypatch)
         result = rollout(pair, _position_video(30), (5, 25))
         assert result.begin <= result.end
 
@@ -259,8 +260,11 @@ class _AgentTracker:
 
 def _reference_rollout(policy, video, init_pos, max_steps):
     # The one-search-at-a-time loop that rollout_many batches, with one
-    # state per forward pass.
+    # state per forward pass: a window centered at clip c is rows c to
+    # c + L - 1 of the video zero-padded by L // 2 rows at each end, and a
+    # state is evaluated in a 4-row batch, zero-padded by hand.
     t = video.num_clips
+    padded = np.pad(video.features, [(policy.window_len // 2,) * 2, (0, 0)])
     p_b = min(max(init_pos[0], 0), t - 1)
     p_e = min(max(init_pos[1], 0), t - 1)
     begin = _AgentTracker(min(p_b, p_e))
@@ -272,7 +276,13 @@ def _reference_rollout(policy, video, init_pos, max_steps):
         visited.update(i for i in range(lo, lo + policy.window_len) if 0 <= i < t)
 
     def state():
-        return build_state(video, begin.pos, end.pos, policy.window_len)[None]
+        return np.concatenate([padded[c: c + policy.window_len] for c in (begin.pos, end.pos)])
+
+    def greedy_action(net, rows):
+        x = np.zeros((1, 4) + rows.shape)
+        x[0, 0] = rows
+        q = forward_stack(net, x)[0, 0]
+        return ACTION_RIGHT if q[ACTION_RIGHT] >= q[ACTION_LEFT] else ACTION_LEFT
 
     visit(begin.pos)
     visit(end.pos)
@@ -280,11 +290,11 @@ def _reference_rollout(policy, video, init_pos, max_steps):
     rows = state()
     while steps < max_steps and not (begin.settled and end.settled):
         if not begin.settled:
-            act = greedy_actions(policy.begin_net, rows)[0]
+            act = greedy_action(policy.begin_net, rows)
             begin.record(apply_action(begin.pos, act, t, partner=end.pos, role=ROLE_BEGIN))
             visit(begin.pos)
         if not end.settled:
-            act = greedy_actions(policy.end_net, rows)[0]
+            act = greedy_action(policy.end_net, rows)
             end.record(apply_action(end.pos, act, t, partner=begin.pos, role=ROLE_END))
             visit(end.pos)
         rows = state()
@@ -342,13 +352,13 @@ class TestRolloutMany:
 
     def test_one_forward_stack_per_group_per_round(self, monkeypatch):
         calls = []
-        real = inference.forward_stack
+        real = nets.forward_stack
 
         def counting(stack, x):
             calls.append(x.shape[:3])
             return real(stack, x)
 
-        monkeypatch.setattr(inference, "forward_stack", counting)
+        monkeypatch.setattr(nets, "forward_stack", counting)
         narrow = SearchPolicy(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
         # Same networks as narrow but read through another window length,
         # so they form a second group; a third policy shares a network.
@@ -388,25 +398,27 @@ class TestRolloutMany:
     @pytest.mark.parametrize("dims", [(16, 64, 2, 5), (2, 3, 1, 1)])
     def test_q_values_do_not_depend_on_batch_companions(self, dims):
         # A state's Q-values are the same alone and among random companion
-        # states, for its own network and for the other stacked network.
+        # states, interleaved, for its own network and for the other
+        # network asked; stack row 1 is never asked, so the call's rows
+        # have a gap.  700 states of one network take three passes.
         dim, hidden, layers, window = dims
-        group = inference._StackGroup((2 * window, dim))
-        for seed in (4, 9):
-            group.row(init_qnetwork(dim, hidden, layers, seed=seed))
-        group.freeze()
+        stack = stack_networks([init_qnetwork(dim, hidden, layers, seed=seed)
+                                for seed in (4, 7, 9)])
         rng = np.random.default_rng(5)
         states = rng.normal(size=(64, 2 * window, dim))
-        alone = [np.concatenate([inference._q_values(group, [[s], []])[0] for s in states]),
-                 np.concatenate([inference._q_values(group, [[], [s]])[1] for s in states])]
-        for size in (1, 2, 3, 5, 8, 13, 64, 300):
-            idx = [rng.integers(0, 64, size), rng.integers(0, 64, int(rng.integers(0, 300)))]
-            q = inference._q_values(group, [list(states[i]) for i in idx])
-            for net in (0, 1):
-                np.testing.assert_array_equal(q[net], alone[net][idx[net]])
+        alone = {net: np.concatenate([q_values(stack, [net], [s]) for s in states])
+                 for net in (0, 2)}
+        for size in (1, 2, 3, 5, 8, 13, 64, 300, 700):
+            idx = {0: rng.integers(0, 64, size), 2: rng.integers(0, 64, int(rng.integers(0, 300)))}
+            which = np.repeat([0, 2], [len(idx[0]), len(idx[2])])
+            order = rng.permutation(len(which))
+            q = q_values(stack, which[order], states[np.concatenate([idx[0], idx[2]])][order])
+            expected = np.concatenate([alone[0][idx[0]], alone[2][idx[2]]])[order]
+            np.testing.assert_array_equal(q, expected)
 
     def test_single_state_ties_go_right(self):
-        states = np.zeros((1, 4, 3))
-        assert list(greedy_actions(zero_qnetwork(3, 4, 1), states)) == [ACTION_RIGHT]
+        q = q_values(zero_qnetwork(3, 4, 1), [0], np.zeros((1, 4, 3)))
+        assert list(greedy(q)) == [ACTION_RIGHT]
 
 
 class TestCoverageRate:
