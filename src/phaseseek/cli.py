@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -27,6 +28,7 @@ from .features import (
     labels_to_transitions,
     load_features,
     load_labels,
+    read_features_header,
     save_features,
     save_labels,
     synth_dataset,
@@ -41,8 +43,8 @@ from .inference import (
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
-from .nets import load_checkpoint, save_checkpoint
-from .training import SearchPolicy, TrainConfig, train
+from .nets import load_checkpoints, save_checkpoint
+from .training import SearchPolicy, TrainConfig, train, zero_padded
 
 TRANSITIONS_SCHEMA_VERSION = 1
 
@@ -294,8 +296,8 @@ def _read_json(path: Path):
         raise PhaseseekError(f"{path}: not a JSON document: {exc}") from exc
 
 
-def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
-    """One phase's frozen policy and fixed initialization, checked against its meta JSON."""
+def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
+    """One phase's window length, input dim and fixed initialization, from its meta JSON."""
     meta_path = _meta_path(ckpt_dir, phase)
     if not meta_path.exists():
         raise PhaseseekError(f"missing checkpoint metadata for phase {phase}: {meta_path}")
@@ -313,18 +315,38 @@ def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
     input_dim = field("input_dim", int, lambda d: d >= 1)
     rho = [field(key, (int, float)) for key in ("rho_begin", "rho_end")]
     try:
-        fi = FixedInit(*rho)
+        return window, input_dim, FixedInit(*rho)
     except ValueError as exc:
         raise PhaseseekError(f"{meta_path}: {exc}") from exc
-    nets = []
-    for role in ("begin", "end"):
-        path = ckpt_dir / f"phase{phase}_{role}.qnet"
-        net = load_checkpoint(path)
-        if net.input_dim != input_dim:
-            raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
-                                 f"meta input_dim {input_dim}")
-        nets.append(net)
-    return SearchPolicy(nets[0], nets[1], window), fi
+
+
+def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dict[int, FixedInit]]:
+    """Each phase's frozen policy and fixed initialization, checked against its meta JSON.
+
+    Every network loads into one stack per geometry, phases ordered by
+    window length, so the networks that ``rollout_many`` groups together
+    are consecutive stack rows, which it searches without a copy.
+    """
+    metas = {phase: _read_meta(ckpt_dir, phase) for phase in phases}
+    order = sorted(metas, key=lambda phase: metas[phase][0])
+    paths = [ckpt_dir / f"phase{phase}_{role}.qnet"
+             for phase in order for role in ("begin", "end")]
+    nets = load_checkpoints(paths)
+    policies = {}
+    for i, phase in enumerate(order):
+        window, input_dim, _ = metas[phase]
+        for path, net in zip(paths[2 * i: 2 * i + 2], nets[2 * i: 2 * i + 2]):
+            if net.input_dim != input_dim:
+                raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
+                                     f"meta input_dim {input_dim}")
+        policies[phase] = SearchPolicy(nets[2 * i], nets[2 * i + 1], window)
+    return policies, {phase: fi for phase, (_, _, fi) in metas.items()}
+
+
+def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
+    """One phase's frozen policy and fixed initialization (see :func:`_load_policies`)."""
+    policies, fis = _load_policies(ckpt_dir, [phase])
+    return policies[phase], fis[phase]
 
 
 def cmd_infer(args) -> int:
@@ -337,9 +359,7 @@ def cmd_infer(args) -> int:
     phases = [args.phase] if single_phase else range(args.phases)
 
     ckpt_dir = Path(args.checkpoints_dir)
-    policies, fis = {}, {}
-    for phase in phases:
-        policies[phase], fis[phase] = _load_policy(ckpt_dir, phase)
+    policies, fis = _load_policies(ckpt_dir, phases)
 
     predictions_dir = None
     classifier = None
@@ -347,24 +367,38 @@ def cmd_infer(args) -> int:
         if args.rmi_predictions_dir:
             predictions_dir = Path(args.rmi_predictions_dir)
         elif args.train_features_dir and args.train_labels_dir:
-            _, labeled = _load_dataset(Path(args.train_features_dir),
-                                       Path(args.train_labels_dir), args.phases)
-            classifier = _fit_clip_classifier(labeled, args)
+            classifier = _fit_clip_classifier(_load_dataset(
+                Path(args.train_features_dir), Path(args.train_labels_dir), args.phases)[1], args)
         else:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
                              "--train-features-dir and --train-labels-dir")
 
-    # Every (video, phase) search runs in one lockstep batch, so all videos
-    # are loaded and checked before any output is written.
+    # Every (video, phase) search runs in one lockstep batch, so every
+    # video's header is checked before anything is allocated or written.
+    # The videos then load into one zero-padded matrix, padded for the
+    # widest window, which rollout_many searches in place.
     features_dir = Path(args.features_dir)
-    videos, searches = [], []
-    for stem in _video_stems(features_dir):
-        seq = load_features(features_dir / f"{stem}.trnf")
+    stems = _video_stems(features_dir)
+    paths = [features_dir / f"{stem}.trnf" for stem in stems]
+    dim = policies[phases[0]].begin_net.input_dim
+    lengths = []
+    for stem, path in zip(stems, paths):
+        t, d, _, _ = read_features_header(path)
         for phase in phases:
             expected = policies[phase].begin_net.input_dim
-            if seq.dim != expected:
-                raise PhaseseekError(f"{stem}: feature dim {seq.dim} does not match "
+            if d != expected:
+                raise PhaseseekError(f"{stem}: feature dim {d} does not match "
                                      f"input dim {expected} of the phase {phase} policy")
+        lengths.append(t)
+    # Every phase searches every video, so the widest window's padding is the largest.
+    widest = max(phases, key=lambda phase: policies[phase].window_len)
+    try:
+        padded, bases = zero_padded(lengths, dim, policies[widest].window_len // 2)
+    except ValueError as exc:
+        raise PhaseseekError(f"{_meta_path(ckpt_dir, widest)}: {exc}") from exc
+    videos, searches = [], []
+    for stem, path, base, t in zip(stems, paths, bases.tolist(), lengths):
+        seq = load_features(path, out=padded[base: base + t])
         # One per-clip label vector per video, shared by all its phases.
         predicted = None
         if predictions_dir is not None:
@@ -381,13 +415,7 @@ def cmd_infer(args) -> int:
                 init = PredictionInit(lambda video, labels=predicted: labels, fallback=init)
             searches.append((policies[phase], seq, init.initial_positions(seq, phase)))
         videos.append((stem, seq, rmi))
-    try:
-        results = iter(rollout_many(searches, max_steps=args.max_steps))
-    except ValueError as exc:
-        # Window padding above MAX_VALUES: every phase searches every video,
-        # so the widest window's padding is the largest.
-        widest = max(phases, key=lambda phase: policies[phase].window_len)
-        raise PhaseseekError(f"{_meta_path(ckpt_dir, widest)}: {exc}") from exc
+    results = iter(rollout_many(searches, max_steps=args.max_steps))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -494,14 +522,14 @@ def cmd_ribbon(args) -> int:
     if width * height > MAX_VALUES:
         raise UsageError(f"--band-height: a {width}x{height} ribbon has {width * height} "
                          f"pixels, above the limit of {MAX_VALUES}")
-    lines = ["P3", f"{width} {height}", "255"]
-    for seq in sequences:
-        row_lines = []
-        for x in range(width):
-            color = _label_color(int(seq[x])) if x < len(seq) else (255, 255, 255)
-            row_lines.append(f"{color[0]} {color[1]} {color[2]}")
-        lines.extend(row_lines * args.band_height)
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # One band's row text at a time, written --band-height times.
+    with open(args.out, "wb") as fh:
+        fh.write(f"P3\n{width} {height}\n255\n".encode())
+        for seq in sequences:
+            colors = [_label_color(label) for label in seq.tolist()]
+            colors += [(255, 255, 255)] * (width - len(seq))
+            row = "".join(f"{r} {g} {b}\n" for r, g, b in colors).encode()
+            fh.writelines(itertools.repeat(row, args.band_height))
     print(f"wrote {width}x{height} ribbon to {args.out}")
     return 0
 

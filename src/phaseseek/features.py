@@ -10,7 +10,6 @@ for desk-scale experiments and tests.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -204,6 +203,17 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def whole_rows(view: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(array, row)`` when ``view`` is whole consecutive rows of the
+    C-contiguous ``array`` it views, from ``row`` on; else None."""
+    owner = view.base
+    if (owner is None or owner.dtype != view.dtype or owner.shape[1:] != view.shape[1:]
+            or owner.strides != view.strides or not owner.flags.c_contiguous):
+        return None
+    row, rem = divmod(view.ctypes.data - owner.ctypes.data, owner.strides[0])
+    return None if rem else (owner, row)
+
+
 # ---------------------------------------------------------------------------
 # Binary feature files (.trnf)
 # ---------------------------------------------------------------------------
@@ -224,14 +234,14 @@ def save_features(seq: FeatureSequence, path) -> None:
     Path(path).write_bytes(header + payload.tobytes(order="C"))
 
 
-def load_features(path) -> FeatureSequence:
-    """Read a .trnf file written by :func:`save_features`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != TRNF_MAGIC:
+def _checked_header(path, head: bytes, size: int) -> tuple[int, int, int, float]:
+    # (T, D, K, fps) from a .trnf file's first bytes, checked against the
+    # file's size in bytes.
+    if len(head) < 4 or head[:4] != TRNF_MAGIC:
         raise BadMagicError(f"{path}: not a .trnf file (bad magic)")
-    if len(raw) < _HEADER.size:
+    if len(head) < _HEADER.size:
         raise TruncatedError(f"{path}: header truncated")
-    _, version, t, d, k, fps = _HEADER.unpack_from(raw)
+    _, version, t, d, k, fps = _HEADER.unpack_from(head)
     if version != TRNF_VERSION:
         raise BadVersionError(f"{path}: unsupported version {version}")
     if t < 1 or d < 1 or k < 1:
@@ -239,15 +249,37 @@ def load_features(path) -> FeatureSequence:
     if not fps > 0:
         raise FeatureFileError(f"{path}: invalid fps {fps}")
     expected = _HEADER.size + 4 * t * d
-    if len(raw) < expected:
-        raise TruncatedError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    if len(raw) > expected:
-        raise FeatureFileError(f"{path}: {len(raw) - expected} trailing byte(s) after the payload")
-    feats = np.frombuffer(raw, dtype="<f4", count=t * d, offset=_HEADER.size)
-    feats = feats.reshape(t, d).astype(np.float64)
-    if not np.isfinite(feats).all():
+    if size < expected:
+        raise TruncatedError(f"{path}: expected {expected} bytes, got {size}")
+    if size > expected:
+        raise FeatureFileError(f"{path}: {size - expected} trailing byte(s) after the payload")
+    return t, d, k, float(fps)
+
+
+def read_features_header(path) -> tuple[int, int, int, float]:
+    """``(T, D, K, fps)`` of a .trnf file, checked as :func:`load_features`
+    checks it, the payload length included; reads only the header."""
+    with open(path, "rb") as fh:
+        return _checked_header(path, fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size)
+
+
+def load_features(path, out: np.ndarray | None = None) -> FeatureSequence:
+    """Read a .trnf file written by :func:`save_features`.
+
+    With ``out``, a ``(T, D)`` float64 array such as rows of a padded
+    matrix (see :func:`~phaseseek.training.zero_padded`), the payload is
+    decoded into it and the sequence's features are ``out`` itself.
+    """
+    raw = Path(path).read_bytes()
+    t, d, k, fps = _checked_header(path, raw[:_HEADER.size], len(raw))
+    if out is None:
+        out = np.empty((t, d))
+    elif out.shape != (t, d):
+        raise FeatureFileError(f"{path}: holds {t} x {d} features, expected {out.shape}")
+    out[...] = np.frombuffer(raw, dtype="<f4", count=t * d, offset=_HEADER.size).reshape(t, d)
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"{path}: payload contains NaN or Inf")
-    return FeatureSequence(feats, clip_len_frames=k, fps=float(fps))
+    return FeatureSequence(out, clip_len_frames=k, fps=fps)
 
 
 # ---------------------------------------------------------------------------
@@ -257,42 +289,53 @@ def load_features(path) -> FeatureSequence:
 def save_labels(labels: PhaseLabels, path) -> None:
     """Write one ``clip_index,phase`` row per clip, sorted by clip index,
     in the bytes of :mod:`csv`'s default writer (``\\r\\n`` line ends)."""
-    rows = "".join(f"{i},{phase}\r\n" for i, phase in enumerate(labels.labels.tolist()))
-    Path(path).write_text("clip_index,phase\r\n" + rows, encoding="utf-8", newline="")
+    n = labels.num_clips
+    cells = np.column_stack((np.arange(n), labels.labels)).ravel().tolist()
+    text = "clip_index,phase\r\n" + "%d,%d\r\n" * n % tuple(cells)
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+# Every byte but the two separators of a label CSV's body.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def load_labels(path, num_phases: int | None = None) -> PhaseLabels:
     """Read a label CSV, checking it covers clips ``0..T-1`` exactly once.
 
+    Lines end in ``\\r\\n``, ``\\n`` or ``\\r``; blank lines are skipped,
+    and each cell is an integer with optional ASCII whitespace around it.
     When ``num_phases`` is omitted it is inferred as ``max(label) + 1``.
     """
+    raw = Path(path).read_bytes()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise LabelsFileError(f"{path}: unreadable label CSV ({exc})") from exc
-    if not table or [h.strip() for h in table[0]] != ["clip_index", "phase"]:
+    header, *rows = raw.splitlines() or [b""]
+    if [h.strip() for h in header.split(b",")] != [b"clip_index", b"phase"]:
         raise LabelsFileError(f"{path}: expected header 'clip_index,phase'")
-    rows = []
-    for row in filter(None, table[1:]):
-        if len(row) != 2:
-            raise LabelsFileError(f"{path}: malformed row {row!r}")
-        try:
-            rows.append((int(row[0]), int(row[1])))
-        except ValueError as exc:
-            raise LabelsFileError(f"{path}: non-integer row {row!r}") from exc
+    rows = [row for row in rows if row]
     if not rows:
         raise LabelsFileError(f"{path}: no label rows")
-    if [i for i, _ in rows] != list(range(len(rows))):
+    body = b"\n".join(rows)
+    if body.translate(None, _NOT_SEPARATORS) != b",\n" * (len(rows) - 1) + b",":
+        row = next(row for row in rows if row.count(b",") != 1)
+        raise LabelsFileError(f"{path}: malformed row {row!r}")
+    try:
+        cells = list(map(int, body.replace(b"\n", b",").split(b",")))
+        table = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError) as exc:
+        raise LabelsFileError(f"{path}: a row is not two int64 integers ({exc})") from exc
+    if (table[:, 0] != np.arange(len(table))).any():
         raise LabelsFileError(f"{path}: rows must cover clip indices 0..T-1 in order")
-    phases = [p for _, p in rows]
-    if min(phases) < 0:
+    phases = table[:, 1].copy()
+    if phases.min() < 0:
         raise LabelsFileError(f"{path}: negative phase id")
     if num_phases is None:
-        num_phases = max(phases) + 1
+        num_phases = int(phases.max()) + 1
     try:
-        return PhaseLabels(np.array(phases, dtype=np.int64), num_phases=num_phases)
-    except (ValueError, OverflowError) as exc:
+        return PhaseLabels(phases, num_phases=num_phases)
+    except ValueError as exc:
         raise LabelsFileError(f"{path}: {exc}") from exc
 
 
@@ -413,9 +456,9 @@ def _generate_video(
         edges = np.cumsum(lengths)[:-1].tolist()  # Python ints: e + b cannot overflow
         for block, e in enumerate(edges):
             left, right = protos[present[block]], protos[present[block + 1]]
-            for j in range(max(e - b, 0), min(e + b, len(labels))):
-                w = (j - e + 0.5 + b) / (2.0 * b)
-                base[j] = (1.0 - w) * left + w * right
+            j = np.arange(max(e - b, 0), min(e + b, len(labels)))
+            w = ((j - e + 0.5 + b) / (2.0 * b))[:, None]
+            base[j] = (1.0 - w) * left + w * right
 
     if cfg.noise_sigma > 0:
         base += cfg.noise_sigma * rng.normal(size=base.shape)

@@ -183,7 +183,9 @@ class RolloutResult:
 class _StackGroup:
     # Networks of one geometry that read windows of one length, stacked for
     # q_values, and the videos they search in one padded feature matrix,
-    # which their states are gathered from.
+    # which their states are gathered from.  Networks that are consecutive
+    # rows of one stack, and videos that are rows of one padded matrix (as
+    # infer loads them), are used where they lie.
     def __init__(self, nets: list[QNetwork], videos: list[FeatureSequence], window_len: int):
         self.stack = stack_networks(nets)
         self.padded, base = pad_videos(videos, window_len // 2)

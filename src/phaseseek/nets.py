@@ -25,6 +25,7 @@ are safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import MAX_VALUES, write_atomic
+from .features import MAX_VALUES, whole_rows, write_atomic
 
 FC1_UNITS = 50
 NUM_ACTIONS = 2
@@ -103,11 +104,13 @@ def _file_shapes(input_dim: int, hidden_dim: int, num_layers: int) -> list[tuple
     return shapes + [(h, FC1_UNITS), (FC1_UNITS,), (FC1_UNITS, NUM_ACTIONS), (NUM_ACTIONS,)]
 
 
-def _gate_major(w: np.ndarray) -> np.ndarray:
+def _gate_major(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # (N, rows, 4H) gate-minor weights in the kernel layout: (N, 4, rows, H),
-    # sigmoid blocks negated.  Always a fresh array.
+    # sigmoid blocks negated, in ``out`` or a fresh array.
     n, rows, h4 = w.shape
-    out = w.reshape(n, rows, 4, h4 // 4).transpose(0, 2, 1, 3).copy()
+    if out is None:
+        out = np.empty((n, 4, rows, h4 // 4))
+    np.copyto(out, w.reshape(n, rows, 4, h4 // 4).transpose(0, 2, 1, 3))
     np.negative(out[:, :3], out=out[:, :3])
     return out
 
@@ -122,12 +125,25 @@ def _gate_minor(w: np.ndarray) -> np.ndarray:
     return out.reshape(n, rows, 4 * h)
 
 
-def _from_file_layout(input_dim: int, hidden_dim: int, params: list[np.ndarray]) -> QNetwork:
-    # One network from its parameters in file layout (see _file_shapes).
-    lstm, head = params[:-4], params[-4:]
-    return _assemble(input_dim, hidden_dim,
-                     [_gate_major(p.reshape(1, -1, 4 * hidden_dim)) for p in lstm]
-                     + [p.reshape(1, -1, p.shape[-1]).copy() for p in head])
+def _empty(input_dim: int, hidden_dim: int, num_layers: int, count: int) -> QNetwork:
+    # ``count`` uninitialized networks of one geometry, each parameter in
+    # one array of its own.
+    h = hidden_dim
+    shapes = []
+    for din in [input_dim] + [h] * (num_layers - 1):
+        shapes += [(4, din, h), (4, h, h), (4, 1, h)]
+    shapes += [(h, FC1_UNITS), (1, FC1_UNITS), (FC1_UNITS, NUM_ACTIONS), (1, NUM_ACTIONS)]
+    return _assemble(input_dim, hidden_dim, [np.empty((count,) + shape) for shape in shapes])
+
+
+def _write_file_layout(net: QNetwork, params: list[np.ndarray]) -> None:
+    # Write one network's parameters, given in file layout (see
+    # _file_shapes), into the arrays of the one-network ``net``.
+    for dst, src in zip(param_list(net), params):
+        if dst.ndim == 4:
+            _gate_major(src.reshape(1, -1, 4 * net.hidden_dim), out=dst)
+        else:
+            dst[...] = src.reshape(dst.shape)
 
 
 def _param_count(input_dim: int, hidden_dim: int, num_layers: int) -> int:
@@ -155,7 +171,9 @@ def init_qnetwork(
         if len(shape) == 2:  # a bias shares the fan-in of the weights before it
             bound = 1.0 / np.sqrt(shape[0])
         params.append(rng.uniform(-bound, bound, size=shape))
-    return _from_file_layout(input_dim, hidden_dim, params)
+    net = _empty(input_dim, hidden_dim, num_layers, 1)
+    _write_file_layout(net, params)
+    return net
 
 
 def zero_qnetwork(input_dim: int, hidden_dim: int = 64, num_layers: int = 2) -> QNetwork:
@@ -188,9 +206,25 @@ def copy_params_into(src: QNetwork, dst: QNetwork) -> None:
         p_dst[...] = p_src
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    # The parts concatenated, as a view when they already are consecutive
+    # rows of one array, in order.
+    held = [whole_rows(p) for p in parts]
+    if all(h is not None and h[0] is held[0][0] for h in held):
+        owner, first = held[0]
+        starts = np.cumsum([first] + [len(p) for p in parts]).tolist()
+        if [row for _, row in held] == starts[:-1]:
+            return owner[first: starts[-1]]
+    return np.concatenate(parts)
+
+
 def stack_networks(nets: list[QNetwork]) -> QNetwork:
-    """Concatenate networks of one (input dim, hidden dim, layers) geometry;
-    later changes to the networks do not reach the result."""
+    """Concatenate networks of one (input dim, hidden dim, layers) geometry.
+
+    When the networks already are consecutive rows of one stack, in order
+    (as :func:`load_checkpoints` loads them), the result views those rows;
+    otherwise it is a copy, which later changes to the networks do not reach.
+    """
     if not nets:
         raise ValueError("need at least one network")
     first = nets[0]
@@ -198,7 +232,7 @@ def stack_networks(nets: list[QNetwork]) -> QNetwork:
     if any((n.input_dim, n.hidden_dim, n.num_layers) != geometry for n in nets):
         raise ValueError("stacked networks must share input dim, hidden dim and layers")
     return _assemble(first.input_dim, first.hidden_dim,
-                     [np.concatenate(ps) for ps in zip(*map(param_list, nets))])
+                     [_joined(list(ps)) for ps in zip(*map(param_list, nets))])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +343,15 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     if not cache:
         return q
     return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1, *cache_room[1:])
+
+
+def cached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps: int,
+                       batch: int) -> int:
+    """Values in the one block a cached :func:`forward_stack` pass allocates
+    for one network on a ``(batch, steps, input_dim)`` batch: the inputs,
+    every step's gates, cells, tanh(cells) and hiddens, and the backward's
+    room.  Python ints, so no overflow."""
+    return steps * batch * (input_dim + hidden_dim * (7 * num_layers + 5))
 
 
 # Batch geometry of q_values.  OpenBLAS's x86-64 dgemm rounds a product row
@@ -531,30 +574,67 @@ def save_checkpoint(net: QNetwork, path) -> None:
     write_atomic(path, header + b"".join(p.astype("<f8").tobytes() for p in params))
 
 
-def load_checkpoint(path) -> QNetwork:
-    """Read a network written by :func:`save_checkpoint`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _CKPT_HEADER.size or raw[:4] != CKPT_MAGIC:
+def _checked_dims(path, head: bytes, size: int) -> tuple[int, int, int]:
+    # (D, H, layers) from a checkpoint's first bytes, checked against the
+    # file's size in bytes before anything the header sizes is allocated.
+    if len(head) < _CKPT_HEADER.size or head[:4] != CKPT_MAGIC:
         raise PhaseseekError(f"{path}: not a network checkpoint")
-    _, version, d, h, m, fc1, actions = _CKPT_HEADER.unpack_from(raw)
+    _, version, d, h, m, fc1, actions = _CKPT_HEADER.unpack_from(head)
     if version != CKPT_VERSION:
         raise PhaseseekError(f"{path}: unsupported checkpoint version {version}")
     if fc1 != FC1_UNITS or actions != NUM_ACTIONS:
         raise PhaseseekError(f"{path}: head dims {fc1}/{actions} not supported")
     if min(d, h, m) < 1:
         raise PhaseseekError(f"{path}: zero dimension in header (D={d}, H={h}, layers={m})")
-    # Check the payload length against the header dims before allocating
-    # anything the header sizes.
     values = _param_count(d, h, m)
-    payload = len(raw) - _CKPT_HEADER.size
+    payload = size - _CKPT_HEADER.size
     if payload < 8 * values:
         raise PhaseseekError(f"{path}: checkpoint payload truncated "
                              f"({payload} bytes, header dims need {8 * values})")
     if payload > 8 * values:
         raise PhaseseekError(f"{path}: trailing bytes in checkpoint")
+    return d, h, m
+
+
+def _read_geometry(path) -> tuple[int, int, int]:
+    # (D, H, layers) of a checkpoint file, checked as load_checkpoint checks
+    # it but for the weights' values; reads only the header.
+    with open(path, "rb") as fh:
+        return _checked_dims(path, fh.read(_CKPT_HEADER.size), os.fstat(fh.fileno()).st_size)
+
+
+def load_checkpoint(path, out: QNetwork | None = None) -> QNetwork:
+    """Read a network written by :func:`save_checkpoint`.
+
+    With ``out``, one network of the file's geometry (such as a row of a
+    stack), the weights are written into its arrays and ``out`` is returned.
+    """
+    raw = Path(path).read_bytes()
+    d, h, m = _checked_dims(path, raw[:_CKPT_HEADER.size], len(raw))
     flat = np.frombuffer(raw, dtype="<f8", offset=_CKPT_HEADER.size)
     if not np.isfinite(flat).all():
         raise PhaseseekError(f"{path}: checkpoint holds NaN or Inf weights")
+    if out is None:
+        out = _empty(d, h, m, 1)
+    elif (out.input_dim, out.hidden_dim, out.num_layers, len(out)) != (d, h, m, 1):
+        raise PhaseseekError(f"{path}: a network of D={d}, H={h}, layers={m}, expected "
+                             f"D={out.input_dim}, H={out.hidden_dim}, layers={out.num_layers}")
     shapes = _file_shapes(d, h, m)
     ends = np.cumsum([math.prod(s) for s in shapes])
-    return _from_file_layout(d, h, [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)])
+    _write_file_layout(out, np.split(flat, ends[:-1]))
+    return out
+
+
+def load_checkpoints(paths) -> list[QNetwork]:
+    """The networks of checkpoint files, in order, each a one-row view of a
+    stack: the files of one geometry load into one stack, in path order, so
+    :func:`stack_networks` of consecutive ones copies nothing.  Every file's
+    header is checked before any stack is allocated."""
+    geometries = [_read_geometry(path) for path in paths]
+    stacks = {g: _empty(*g, geometries.count(g)) for g in dict.fromkeys(geometries)}
+    rows = dict.fromkeys(stacks, 0)
+    nets = []
+    for path, g in zip(paths, geometries):
+        nets.append(load_checkpoint(path, out=stacks[g][rows[g]: rows[g] + 1]))
+        rows[g] += 1
+    return nets

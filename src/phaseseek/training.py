@@ -17,19 +17,19 @@ against the fresh begin position).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import MAX_VALUES, FeatureSequence, TransitionSet
+from .features import MAX_VALUES, FeatureSequence, TransitionSet, whole_rows
 from .nets import (
     AdamState,
     QNetwork,
     adam_init,
     adam_step,
     backward_stack,
+    cached_pass_values,
     clone_params,
     copy_params_into,
     forward_stack,
@@ -115,8 +115,8 @@ class TrainConfig:
                      "hidden_dim", "num_layers", "memory_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and positive")
+        if not 0 < self.lr <= 1:
+            raise ValueError("lr must lie in (0, 1]")
         if not 0 < self.eps_decay <= 1:  # above 1, eps_decay ** episode can overflow
             raise ValueError("eps_decay must lie in (0, 1]")
         for name in ("eps_start", "eps_min"):
@@ -145,19 +145,46 @@ class SearchPolicy:
 # Environment primitives
 # ---------------------------------------------------------------------------
 
-def pad_videos(videos: list[FeatureSequence], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """The videos' clip features in one float64 matrix with ``pad`` zero rows
-    around each video, and each video's base row: clip ``c`` of video ``v``
-    is row ``base[v] + c``.  Windows of up to ``2 * pad + 1`` clips centered
-    on a clip then read only that video's clips and zero rows.  Refuses
-    zero padding of more than ``MAX_VALUES`` values before allocating."""
-    zeros = (len(videos) + 1) * pad * videos[-1].dim
+def zero_padded(lengths: list[int], dim: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero float64 matrix with room for videos of ``lengths`` clips and
+    ``dim`` features, ``pad`` zero rows around each, and each video's base
+    row: clip ``c`` of video ``v`` goes to row ``base[v] + c``.  Windows of
+    up to ``2 * pad + 1`` clips centered on a clip then read only that
+    video's clips and zero rows.  Refuses zero padding of more than
+    ``MAX_VALUES`` values before allocating."""
+    zeros = (len(lengths) + 1) * pad * dim
     if zeros > MAX_VALUES:
         raise ValueError(f"windows of window_len {2 * pad + 1} need {zeros} zero padding "
-                         f"values around {len(videos)} video(s) of dim {videos[-1].dim}, "
+                         f"values around {len(lengths)} video(s) of dim {dim}, "
                          f"above the limit of {MAX_VALUES}")
-    base = np.cumsum([pad] + [v.num_clips + pad for v in videos[:-1]])
-    padded = np.zeros((base[-1] + videos[-1].num_clips + pad, videos[-1].dim))
+    base = np.cumsum([pad] + [t + pad for t in lengths[:-1]])
+    return np.zeros((base[-1] + lengths[-1] + pad, dim)), base
+
+
+def _padded_in_place(videos: list[FeatureSequence], pad: int):
+    # The matrix whose whole rows every video's features are, with at least
+    # pad zero rows around each video, and the videos' base rows; or None.
+    held = [whole_rows(v.features) for v in videos]
+    if any(h is None or h[0] is not held[0][0] for h in held):
+        return None
+    matrix = held[0][0]
+    for v, (_, base) in zip(videos, held):
+        end = base + v.num_clips
+        if (base < pad or end + pad > len(matrix)
+                or matrix[base - pad: base].any() or matrix[end: end + pad].any()):
+            return None
+    return matrix, np.array([base for _, base in held])
+
+
+def pad_videos(videos: list[FeatureSequence], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The videos' clip features in one :func:`zero_padded` matrix, and each
+    video's base row.  When the videos already are whole rows of one matrix
+    with at least ``pad`` zero rows around each (as ``infer`` loads them),
+    that matrix is returned as it is; otherwise they are copied into a new one."""
+    in_place = _padded_in_place(videos, pad)
+    if in_place is not None:
+        return in_place
+    padded, base = zero_padded([v.num_clips for v in videos], videos[-1].dim, pad)
     for b, v in zip(base, videos):
         padded[b: b + v.num_clips] = v.features
     return padded, base
@@ -295,7 +322,9 @@ def train(
     inference module); its ``initial_positions(video, phase)`` hook is used
     exactly as at inference time.  ``on_video`` receives a
     :class:`TrainVideoLog` after each video.  Deterministic for a fixed
-    (dataset, cfg, init).
+    (dataset, cfg, init).  Raises ``ValueError``, before allocating, when
+    one update's cached kernel pass (see :func:`~phaseseek.nets.cached_pass_values`)
+    or the window padding would exceed ``MAX_VALUES`` values.
     """
     if not dataset:
         raise PhaseseekError("empty training dataset")
@@ -309,13 +338,23 @@ def train(
     if not usable:
         raise PhaseseekError(f"phase {phase} absent from every training video")
 
+    # The largest array of a run is one update's cached kernel pass over a
+    # batch of states; a greedy step pads its one state to 4 rows.
+    dim = usable[0][1].dim
+    values = cached_pass_values(dim, cfg.hidden_dim, cfg.num_layers, 2 * cfg.window_len,
+                                max(cfg.batch, 4))
+    if values > MAX_VALUES:
+        raise ValueError(f"a batch of {cfg.batch} states of 2 x window_len {cfg.window_len} "
+                         f"rows of dim {dim} needs {values} values in one cached kernel pass "
+                         f"at hidden_dim {cfg.hidden_dim} and num_layers {cfg.num_layers}, "
+                         f"above the limit of {MAX_VALUES}")
     rng = np.random.default_rng(cfg.seed)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
     # A memory holds at most the records the run pushes, so it wraps exactly
     # when one of the configured capacity would.
     pushes = cfg.episodes_max * len(usable) * cfg.max_steps_per_video
     capacity = max(1, min(cfg.memory_capacity, pushes))
-    begin, end = (_AgentSlot.fresh(usable[0][1].dim, cfg, int(s), capacity) for s in seeds)
+    begin, end = (_AgentSlot.fresh(dim, cfg, int(s), capacity) for s in seeds)
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
     padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 

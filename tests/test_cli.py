@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import phaseseek
+from phaseseek import cli, inference
 from phaseseek.cli import main
 from phaseseek.features import load_labels
 from phaseseek.inference import LinearClipClassifier
+from phaseseek.nets import param_list
 
 TINY_TRAIN = [
     "--window", "3", "--episodes", "1", "--max-steps", "20", "--batch", "16",
@@ -46,6 +48,44 @@ def _run(argv, address_space: int | None = None) -> tuple[int, str]:
 
 
 NOT_UTF8_LABELS = b"clip_index,phase\r\n0,\xff\r\n"
+
+
+def _infer_holding(monkeypatch, argv) -> dict:
+    # Run infer, recording its searches, every network stack q_values
+    # evaluates and every feature matrix pad_videos returns.
+    seen = {"stacks": [], "matrices": []}
+    real_rollout, real_q, real_pad = cli.rollout_many, inference.q_values, inference.pad_videos
+
+    def rollout_many(searches, max_steps):
+        seen["searches"] = searches
+        return real_rollout(searches, max_steps)
+
+    def q_values(stack, which, states):
+        seen["stacks"].append(stack)
+        return real_q(stack, which, states)
+
+    def pad_videos(videos, pad):
+        padded, base = real_pad(videos, pad)
+        seen["matrices"].append(padded)
+        return padded, base
+
+    monkeypatch.setattr(cli, "rollout_many", rollout_many)
+    monkeypatch.setattr(inference, "q_values", q_values)
+    monkeypatch.setattr(inference, "pad_videos", pad_videos)
+    assert main([str(a) for a in argv]) == 0
+    return seen
+
+
+def _assert_held_once(seen) -> None:
+    # Every video's features are rows of the one matrix the search reads,
+    # and every network's weights are rows of a stack q_values evaluates.
+    assert len({id(m) for m in seen["matrices"]}) == 1
+    for policy, video, _ in seen["searches"]:
+        assert np.shares_memory(video.features, seen["matrices"][0])
+        for net in (policy.begin_net, policy.end_net):
+            assert any(all(np.shares_memory(a, b) for a, b in zip(param_list(net),
+                                                                  param_list(stack)))
+                       for stack in seen["stacks"])
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +189,34 @@ class TestInfer:
         assert set(payload["phases"]) == {"0", "1"}
         labels = load_labels(preds[0], 2)
         assert labels.num_clips == payload["num_clips"]
+
+    def test_each_video_and_network_is_held_once(self, workspace, tmp_path, monkeypatch):
+        seen = _infer_holding(monkeypatch, [
+            "infer", "--phases", 2, "--features-dir", workspace / "data",
+            "--checkpoints-dir", workspace / "ckpt", "--out-dir", tmp_path / "out"])
+        assert len(seen["searches"]) == 4 * 2
+        _assert_held_once(seen)
+
+    def test_mixed_windows_match_each_phase_alone(self, tmp_path, monkeypatch):
+        # Phases 0 and 2 read 5-clip windows and phase 1 3-clip ones: one
+        # infer gives each phase the transitions it gets alone, and still
+        # holds every video and network once.
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        _synth(data, count=3, phases=3)
+        for phase, window in ((0, 5), (1, 3), (2, 5)):
+            assert main(["train", "--phase", str(phase), "--phases", "3",
+                         "--features-dir", str(data), "--labels-dir", str(data),
+                         "--checkpoints-dir", str(ckpt), "--seed", "3", *TINY_TRAIN,
+                         "--window", str(window)]) == 0
+        infer = ["infer", "--phases", 3, "--features-dir", data, "--checkpoints-dir", ckpt]
+        _assert_held_once(_infer_holding(monkeypatch, [*infer, "--out-dir", tmp_path / "all"]))
+        for phase in range(3):
+            alone = tmp_path / f"phase{phase}"
+            assert main([str(a) for a in [*infer, "--phase", phase, "--out-dir", alone]]) == 0
+            for path in sorted(alone.glob("*.transitions.json")):
+                together = json.loads((tmp_path / "all" / path.name).read_text())
+                assert json.loads(path.read_text())["phases"][str(phase)] == \
+                    together["phases"][str(phase)]
 
     def test_rmi_reads_everything(self, workspace):
         out = workspace / "pred_rmi"
@@ -450,13 +518,26 @@ class TestMalformedInputs:
         assert "phase1_meta.json" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_state_batch(self, tmp_path):
+        # One dim-6 video admits the zero padding of a 22369621-clip window,
+        # but 128 of its states would need 128 x 2 GiB: refused before
+        # training, naming the flags.
+        data = tmp_path / "one"
+        _synth(data, count=1)
+        code, err = _run(["train", "--phase", 0, "--phases", 2, "--features-dir", data,
+                          "--labels-dir", data, "--checkpoints-dir", tmp_path / "ck",
+                          "--window", 22369621], address_space=2 << 30)
+        assert code == 1
+        assert "--window" in err and "--batch" in err and "Traceback" not in err
+        assert not (tmp_path / "ck").exists()
+
     def test_synth_bad_lengths_are_usage_errors(self, tmp_path):
         code, err = _run(["synth", "--out-dir", tmp_path / "out", "--min-len", "0"])
         assert code == 1
         assert "min_len" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "0"), ("--lr", "inf"), ("--gamma", "1"), ("--gamma", "nan"), ("--batch", "0"),
+        ("--lr", "0"), ("--lr", "inf"), ("--lr", "1e300"), ("--lr", "1.5"), ("--gamma", "1"), ("--gamma", "nan"), ("--batch", "0"),
         ("--eps-start", "2"), ("--episodes", "-1"), ("--hidden", "0"), ("--seed", "-1"),
         ("--eps-decay", "1e308"),
     ])
@@ -536,6 +617,32 @@ class TestRibbon:
 
     def test_empty_input_is_usage_error(self, tmp_path):
         assert main(["ribbon", "--out", str(tmp_path / "x.ppm")]) == 1
+
+    def test_bytes(self, tmp_path):
+        (tmp_path / "a.csv").write_text("clip_index,phase\n0,0\n1,11\n2,1\n")
+        (tmp_path / "b.csv").write_text("clip_index,phase\n0,2\n")
+        out = tmp_path / "r.ppm"
+        assert main(["ribbon", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                     "--out", str(out), "--band-height", "2"]) == 0
+        a = "230 64 52\n46 134 222\n46 134 222\n"
+        b = "38 166 91\n255 255 255\n255 255 255\n"
+        assert out.read_bytes() == ("P3\n3 4\n255\n" + 2 * a + 2 * b).encode()
+
+    def test_tall_ribbon_holds_one_row(self, tmp_path):
+        # 2 x 1000000 pixels are 22 MB of text; the command holds one row's.
+        (tmp_path / "c.csv").write_text("clip_index,phase\n0,0\n1,1\n")
+        out = tmp_path / "tall.ppm"
+        tracemalloc.start()
+        try:
+            code = main(["ribbon", str(tmp_path / "c.csv"), "--out", str(out),
+                         "--band-height", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size == len("P3\n2 1000000\n255\n230 64 52\n46 134 222\n") + \
+            999999 * len("230 64 52\n46 134 222\n")
+        assert peak < 1 << 20
 
     def test_oversized_band_height_is_usage_error(self, tmp_path):
         (tmp_path / "c.csv").write_text("clip_index,phase\n0,0\n1,1\n")

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseseek.errors import (
     BadMagicError,
@@ -22,16 +24,49 @@ from phaseseek.features import (
     labels_to_transitions,
     load_features,
     load_labels,
+    phase_prototypes,
+    read_features_header,
     save_features,
     save_labels,
     synth_dataset,
     synth_generate,
     transitions_to_labels,
+    whole_rows,
 )
 
 
 def _seq(matrix, **kw):
     return FeatureSequence(np.asarray(matrix, dtype=float), **kw)
+
+
+def _csv_reference(path, num_phases=None) -> PhaseLabels:
+    # The csv-module reader that load_labels' one-pass parse replaced, kept
+    # as the reference for the files both accept.
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise LabelsFileError(str(exc)) from exc
+    if not table or [h.strip() for h in table[0]] != ["clip_index", "phase"]:
+        raise LabelsFileError("header")
+    rows = []
+    for row in filter(None, table[1:]):
+        if len(row) != 2:
+            raise LabelsFileError("malformed row")
+        try:
+            rows.append((int(row[0]), int(row[1])))
+        except ValueError as exc:
+            raise LabelsFileError("non-integer row") from exc
+    if not rows or [i for i, _ in rows] != list(range(len(rows))):
+        raise LabelsFileError("rows")
+    phases = [p for _, p in rows]
+    if min(phases) < 0:
+        raise LabelsFileError("negative phase id")
+    try:
+        return PhaseLabels(np.array(phases, dtype=np.int64),
+                           num_phases=max(phases) + 1 if num_phases is None else num_phases)
+    except (ValueError, OverflowError) as exc:
+        raise LabelsFileError(str(exc)) from exc
 
 
 class TestFeatureFiles:
@@ -111,6 +146,51 @@ class TestFeatureFiles:
         assert not (tmp_path / "big.trnf").exists()
 
 
+    @pytest.mark.parametrize("damage, error", [
+        (lambda raw: b"XXXX" + raw[4:], BadMagicError),
+        (lambda raw: raw[:4] + b"\x09" + raw[5:], BadVersionError),
+        (lambda raw: raw[:10], TruncatedError),
+        (lambda raw: raw[:-4], TruncatedError),
+        (lambda raw: raw + b"\0", FeatureFileError),
+    ], ids=["magic", "version", "header", "payload", "trailing"])
+    def test_header_checked_as_load_checks_it(self, tmp_path, damage, error):
+        path = tmp_path / "v.trnf"
+        save_features(_seq(np.ones((3, 2))), path)
+        assert read_features_header(path) == (3, 2, 16, pytest.approx(2.4))
+        path.write_bytes(damage(path.read_bytes()))
+        for reader in (read_features_header, load_features):
+            with pytest.raises(error, match="v.trnf"):
+                reader(path)
+
+    def test_load_into_rows_of_a_matrix(self, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "v.trnf"
+        save_features(_seq(rng.normal(size=(3, 2)).astype(np.float32), clip_len_frames=8), path)
+        matrix = np.zeros((6, 2))
+        seq = load_features(path, out=matrix[2:5])
+        assert seq.clip_len_frames == 8
+        assert whole_rows(seq.features)[1] == 2 and whole_rows(seq.features)[0] is matrix
+        np.testing.assert_array_equal(matrix[2:5], load_features(path).features)
+        assert not matrix[:2].any() and not matrix[5:].any()
+        with pytest.raises(FeatureFileError, match="3 x 2"):
+            load_features(path, out=matrix[:2])
+
+
+class TestWholeRows:
+    def test_rows_of_a_matrix(self):
+        matrix = np.zeros((5, 3))
+        owner, row = whole_rows(matrix[2:4])
+        assert owner is matrix and row == 2
+        assert whole_rows(matrix[3:4][0:1]) == (matrix, 3)
+
+    @pytest.mark.parametrize("view", [
+        lambda m: m, lambda m: m[1:3, :2], lambda m: m[::2], lambda m: m[1:3].view(np.int64),
+        lambda m: m.ravel()[1:16].reshape(5, 3), lambda m: m.T[1:2],
+    ], ids=["owner", "columns", "strided", "dtype", "offset", "transposed"])
+    def test_anything_else_is_none(self, view):
+        assert whole_rows(view(np.zeros((6, 3)))) is None
+
+
 class TestLabelFiles:
     def test_round_trip(self, tmp_path):
         labels = PhaseLabels(np.array([0, 0, 1, 2, 2]), num_phases=3)
@@ -163,6 +243,46 @@ class TestLabelFiles:
         path.write_text("clip_index,phase\n0,99999999999999999999\n")
         with pytest.raises(LabelsFileError):
             load_labels(path)
+
+    def test_one_pass_matches_the_csv_reader(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b" clip_index , phase\r\n\r\n0, 2\n1 ,+1\r2,\t0 \n\n")
+        np.testing.assert_array_equal(load_labels(path).labels, [2, 1, 0])
+        np.testing.assert_array_equal(load_labels(path).labels, _csv_reference(path).labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_result_as_the_csv_reader(self, tmp_path_factory, data):
+        # Well-formed files with every line end, blank lines and ASCII
+        # padding, with now and then one defect: both readers return the
+        # same labels, or both raise LabelsFileError.
+        phases = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        rows = [f"{data.draw(pad)}{i}{data.draw(pad)},{data.draw(pad)}{p}{data.draw(pad)}"
+                for i, p in enumerate(phases)]
+        defect = data.draw(st.sampled_from(
+            [None, None, None, "gap", "negative", "three cells", "one cell", "text", "huge"]))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows[k] = {None: rows[k], "gap": f"{k + 1},0", "negative": f"{k},-1",
+                   "three cells": f"{k},0,0", "one cell": f"{k}", "text": f"{k},x",
+                   "huge": f"{k},{2**70}"}[defect]
+        lines = [data.draw(st.sampled_from(["clip_index,phase", " clip_index , phase"]))]
+        for row in rows:
+            lines += [""] * data.draw(st.integers(0, 1)) + [row]
+        newline = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+        path = tmp_path_factory.mktemp("labels") / "v.csv"
+        path.write_text(newline.join(lines) + data.draw(st.sampled_from(["", newline])),
+                        encoding="utf-8", newline="")
+        num_phases = data.draw(st.sampled_from([None, 5]))
+        try:
+            expected = _csv_reference(path, num_phases)
+        except LabelsFileError:
+            with pytest.raises(LabelsFileError):
+                load_labels(path, num_phases)
+        else:
+            got = load_labels(path, num_phases)
+            np.testing.assert_array_equal(got.labels, expected.labels)
+            assert got.num_phases == expected.num_phases
 
 
 class TestAverageClips:
@@ -280,6 +400,20 @@ class TestSynth:
         for sigma in (MAX_NOISE_SIGMA * 1.01, 1e38, float("inf"), float("nan"), -1.0):
             with pytest.raises(ValueError, match="noise_sigma"):
                 SynthConfig(num_phases=1, min_len=1, max_len=1, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("blend", [1, 2, 5, 2**62, 2**63])
+    def test_cross_fade_matches_the_clip_loop(self, blend):
+        cfg = SynthConfig(num_phases=4, min_len=2, max_len=6, dim=5, blend_width=blend)
+        seq, labels = synth_generate(cfg, seed=9)
+        protos = phase_prototypes(cfg, np.random.default_rng(9))
+        lab = labels.labels
+        expected = protos[lab]
+        for e in (np.flatnonzero(np.diff(lab)) + 1).tolist():
+            left, right = protos[lab[e - 1]], protos[lab[e]]
+            for j in range(max(e - blend, 0), min(e + blend, len(lab))):
+                w = (j - e + 0.5 + blend) / (2.0 * blend)
+                expected[j] = (1.0 - w) * left + w * right
+        assert seq.features.tobytes() == expected.tobytes()
 
     def test_dataset_shares_prototypes(self):
         cfg = SynthConfig(num_phases=2, min_len=3, max_len=3, dim=8)

@@ -16,12 +16,14 @@ from phaseseek.nets import (
     adam_step,
     backward,
     backward_stack,
+    cached_pass_values,
     clone_params,
     forward,
     forward_stack,
     huber_loss,
     init_qnetwork,
     load_checkpoint,
+    load_checkpoints,
     param_list,
     save_checkpoint,
     stack_networks,
@@ -171,6 +173,26 @@ class TestForwardStack:
         for p in param_list(net):
             p += 1.0
         np.testing.assert_array_equal(forward_stack(stack, x), before)
+
+    def test_consecutive_rows_of_a_stack_are_not_copied(self):
+        stack = stack_networks([init_qnetwork(3, 8, 2, seed=i) for i in range(4)])
+        rows = [stack[i: i + 1] for i in range(4)]
+        x = np.random.default_rng(2).normal(size=(2, 4, 5, 3))
+        views = stack_networks(rows[1:3])
+        assert all(np.shares_memory(a, b) for a, b in zip(param_list(views), param_list(stack)))
+        np.testing.assert_array_equal(forward_stack(views, x), forward_stack(stack[1:3], x))
+        for apart in ([rows[2], rows[1]], [rows[0], rows[2]], [rows[1], init_qnetwork(3, 8, 2)]):
+            copy = stack_networks(apart)
+            assert not any(np.shares_memory(a, b)
+                           for a, b in zip(param_list(copy), param_list(stack)))
+            np.testing.assert_array_equal(forward_stack(copy, x),
+                                          forward_stack(stack_networks(list(map(clone_params,
+                                                                                apart))), x))
+
+    def test_cached_pass_is_one_block(self):
+        net = init_qnetwork(3, 5, 2, seed=1)
+        _, cache = forward_stack(net, np.zeros((1, 4, 6, 3)), cache=True)
+        assert cache.x.base.size == cached_pass_values(3, 5, 2, steps=6, batch=4)
 
     def test_mixed_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -428,6 +450,45 @@ class TestCloneAndCheckpoints:
         with pytest.raises(PhaseseekError, match="trailing"):
             load_checkpoint(path)
 
+
+    def test_checkpoints_load_into_one_stack_per_geometry(self, tmp_path):
+        nets = [init_qnetwork(3, 4, 1, seed=0), init_qnetwork(3, 5, 2, seed=1),
+                init_qnetwork(3, 4, 1, seed=2), init_qnetwork(3, 4, 1, seed=3)]
+        paths = [tmp_path / f"n{i}.qnet" for i in range(len(nets))]
+        for net, path in zip(nets, paths):
+            save_checkpoint(net, path)
+        loaded = load_checkpoints(paths)
+        for net, got in zip(nets, loaded, strict=True):
+            assert (got.input_dim, got.hidden_dim, got.num_layers, len(got)) == \
+                (net.input_dim, net.hidden_dim, net.num_layers, 1)
+            for a, b in zip(param_list(net), param_list(got), strict=True):
+                assert a.tobytes() == b.tobytes()
+        # The three (3, 4, 1) files are rows 0-2 of one stack; stacking the
+        # last two copies nothing.
+        stack = stack_networks(loaded[2:])
+        for a, first, third in zip(param_list(stack), param_list(loaded[0]),
+                                   param_list(loaded[2])):
+            assert a.base is first.base and np.shares_memory(a, third)
+        assert loaded[0].fc1_w.base is not loaded[1].fc1_w.base
+
+    def test_bad_checkpoint_among_many_named_before_allocating(self, tmp_path):
+        paths = [tmp_path / "good.qnet", tmp_path / "huge.qnet"]
+        save_checkpoint(init_qnetwork(3, 4, 1), paths[0])
+        paths[1].write_bytes(struct.pack("<4sIIIIII", b"QNET", 1, 16, 4000, 2, FC1_UNITS, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PhaseseekError, match="huge.qnet.*truncated"):
+                load_checkpoints(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_load_into_a_network_of_another_geometry_rejected(self, tmp_path):
+        path = tmp_path / "net.qnet"
+        save_checkpoint(init_qnetwork(3, 4, 1), path)
+        with pytest.raises(PhaseseekError, match="net.qnet"):
+            load_checkpoint(path, out=init_qnetwork(3, 5, 1))
 
     def test_init_payload_is_the_row_draws(self, tmp_path):
         # The file layout is init_qnetwork's draws as drawn, in param_list order.

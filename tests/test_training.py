@@ -3,7 +3,14 @@ import pytest
 
 from phaseseek import inference, nets, training
 from phaseseek.errors import PhaseseekError
-from phaseseek.features import FeatureSequence, SynthConfig, TransitionSet, labels_to_transitions, synth_dataset
+from phaseseek.features import (
+    MAX_VALUES,
+    FeatureSequence,
+    SynthConfig,
+    TransitionSet,
+    labels_to_transitions,
+    synth_dataset,
+)
 from phaseseek.inference import FixedInit
 from phaseseek.nets import (
     adam_init,
@@ -31,6 +38,7 @@ from phaseseek.training import (
     select_action,
     train,
     window_rows,
+    zero_padded,
 )
 from reference_kernel import backward_batch, forward_batch, init_row_network, kernel_layout
 
@@ -110,6 +118,46 @@ class TestBuildState:
                     rows = window_rows(base[v] + np.array([b, e]), window_len)
                     np.testing.assert_array_equal(padded[rows], expected)
                     np.testing.assert_array_equal(_state(seq, b, e, window_len), expected)
+
+
+class TestPadVideos:
+    def _loaded(self, pad):
+        # Videos of 3 and 5 clips loaded as rows of one zero-padded matrix.
+        padded, base = zero_padded([3, 5], 2, pad)
+        rng = np.random.default_rng(pad)
+        videos = []
+        for b, t in zip(base.tolist(), (3, 5)):
+            padded[b: b + t] = rng.normal(size=(t, 2))
+            videos.append(FeatureSequence(padded[b: b + t]))
+        return padded, base, videos
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_rows_of_a_padded_matrix_are_used_in_place(self, pad):
+        padded, base, videos = self._loaded(2)
+        out, out_base = pad_videos(videos, pad)
+        assert out is padded
+        np.testing.assert_array_equal(out_base, base)
+
+    @pytest.mark.parametrize("change", ["wider", "dirty", "foreign", "columns"])
+    def test_anything_else_is_copied(self, change):
+        padded, _, videos = self._loaded(2)
+        pad = 3 if change == "wider" else 2
+        if change == "dirty":
+            padded[0, 1] = 1.0
+        if change == "foreign":
+            videos[1] = FeatureSequence(videos[1].features.copy())
+        if change == "columns":
+            videos = [FeatureSequence(v.features[:, :1]) for v in videos]
+        out, base = pad_videos(videos, pad)
+        assert not np.shares_memory(out, padded)
+        copies = [FeatureSequence(v.features.copy()) for v in videos]
+        expected, expected_base = pad_videos(copies, pad)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(base, expected_base)
+
+    def test_padding_bound_checked_before_allocating(self):
+        with pytest.raises(ValueError, match="window_len 5"):
+            zero_padded([4] * 3, MAX_VALUES // 8 + 1, 2)
 
 
 class TestApplyAction:
@@ -400,6 +448,15 @@ class TestTrain:
         train(_tiny_dataset(), 1, _tiny_config(gamma=0.9), FixedInit(0.4, 0.9), on_video=logs.append)
         assert all(np.isfinite(r.begin_loss) for r in logs[1:])  # updates ran
         assert calls == []
+
+    @pytest.mark.parametrize("field, value", [("window_len", 2**21 + 1), ("batch", 2**21),
+                                              ("hidden_dim", 2**20)])
+    def test_oversized_update_rejected_before_allocating(self, field, value):
+        # One update's cached kernel pass is 2L x batch x (D + H(7 layers + 5))
+        # values; above MAX_VALUES the run is refused, naming its fields.
+        cfg = _tiny_config(**{field: value})
+        with pytest.raises(ValueError, match=f"batch.*window_len.*hidden_dim.*num_layers"):
+            train(_tiny_dataset(), 1, cfg, FixedInit(0.4, 0.9))
 
     def test_zero_updates_warn(self, caplog):
         dataset = _tiny_dataset()
