@@ -43,8 +43,8 @@ from .inference import (
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
-from .nets import load_checkpoints, save_checkpoint
-from .training import SearchPolicy, TrainConfig, train, zero_padded
+from .nets import load_checkpoints, save_checkpoint, uncached_pass_values
+from .training import SearchPolicy, TrainConfig, check_update_size, train, zero_padded
 
 TRANSITIONS_SCHEMA_VERSION = 1
 
@@ -180,20 +180,38 @@ def _video_stems(features_dir: Path) -> list[str]:
     return stems
 
 
-def _load_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
-    """(stems, [(FeatureSequence, PhaseLabels)]) for every feature file."""
+def _read_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
+    """(stems, feature paths, [PhaseLabels], feature dim) for every feature
+    file: each file's header and labels are checked, and every file must
+    have one feature dim.  No feature payload is read yet (see :func:`_load_rows`)."""
     stems = _video_stems(features_dir)
-    out = []
-    for stem in stems:
+    paths = [features_dir / f"{stem}.trnf" for stem in stems]
+    labeled, dim = [], None
+    for stem, path in zip(stems, paths):
         label_path = labels_dir / f"{stem}.csv"
         if not label_path.exists():
             raise PhaseseekError(f"missing labels for video {stem}")
-        seq = load_features(features_dir / f"{stem}.trnf")
+        t, d, _, _ = read_features_header(path)
+        dim = d if dim is None else dim
         labels = load_labels(label_path, num_phases)
-        if labels.num_clips != seq.num_clips:
-            raise PhaseseekError(f"{stem}: labels cover {labels.num_clips} clips, features {seq.num_clips}")
-        out.append((seq, labels))
-    return stems, out
+        if labels.num_clips != t:
+            raise PhaseseekError(f"{stem}: labels cover {labels.num_clips} clips, features {t}")
+        if d != dim:
+            raise PhaseseekError(f"{stem}: feature dim {d} does not match "
+                                 f"feature dim {dim} of {stems[0]}")
+        labeled.append(labels)
+    return stems, paths, labeled, dim
+
+
+def _load_rows(paths: list[Path], lengths: list[int], dim: int, pad: int):
+    """Each feature file decoded into its rows of one
+    :func:`~phaseseek.training.zero_padded` matrix, ``pad`` zero rows around
+    each video, as one ``FeatureSequence`` per file viewing its rows, so
+    training and searches use the matrix in place.  Raises ``ValueError``,
+    before allocating, when the padding would exceed ``MAX_VALUES``."""
+    padded, bases = zero_padded(lengths, dim, pad)
+    return [load_features(path, out=padded[base: base + t])
+            for path, base, t in zip(paths, bases.tolist(), lengths)]
 
 
 def _fit_clip_classifier(labeled, args):
@@ -244,8 +262,14 @@ def cmd_train(args) -> int:
         raise UsageError(f"--phase must lie in [0, {args.phases})")
     cfg = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed + args.phase)
     features_dir, labels_dir = Path(args.features_dir), Path(args.labels_dir)
-    stems, labeled = _load_dataset(features_dir, labels_dir, args.phases)
-    dataset = [(seq, labels_to_transitions(labels)) for seq, labels in labeled]
+    stems, paths, labels, dim = _read_dataset(features_dir, labels_dir, args.phases)
+    try:  # one update's kernel pass or the window padding above MAX_VALUES
+        check_update_size(cfg, dim)
+        seqs = _load_rows(paths, [lab.num_clips for lab in labels], dim, cfg.window_len // 2)
+    except ValueError as exc:
+        raise _flag_error(exc, _TRAIN_FLAGS) from exc
+    labeled = list(zip(seqs, labels))
+    dataset = [(seq, labels_to_transitions(lab)) for seq, lab in labeled]
     fi = fit_fi([(seq.num_clips, ts) for seq, ts in dataset], args.phase)
     init = fi
     if args.init == "rmi":
@@ -254,7 +278,7 @@ def cmd_train(args) -> int:
     log_rows: list = []
     try:
         policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
-    except ValueError as exc:  # networks or window padding above MAX_VALUES
+    except ValueError as exc:  # networks above MAX_VALUES
         raise _flag_error(exc, _TRAIN_FLAGS) from exc
 
     ckpt_dir = Path(args.checkpoints_dir)
@@ -325,7 +349,10 @@ def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dic
 
     Every network loads into one stack per geometry, phases ordered by
     window length, so the networks that ``rollout_many`` groups together
-    are consecutive stack rows, which it searches without a copy.
+    are consecutive stack rows, which it searches without a copy.  A phase
+    whose smallest search round, one kernel pass of its two networks on 4
+    zero-padded states each (see :func:`~phaseseek.nets.q_values`), would
+    exceed ``MAX_VALUES`` values is a data error naming its meta file.
     """
     metas = {phase: _read_meta(ckpt_dir, phase) for phase in phases}
     order = sorted(metas, key=lambda phase: metas[phase][0])
@@ -339,6 +366,12 @@ def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dic
             if net.input_dim != input_dim:
                 raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
                                      f"meta input_dim {input_dim}")
+        values = sum(uncached_pass_values(input_dim, net.hidden_dim, net.num_layers, 2 * window, 4)
+                     for net in nets[2 * i: 2 * i + 2])
+        if values > MAX_VALUES:
+            raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: states of 2 x window {window} "
+                                 f"rows of dim {input_dim} need {values} values in one search "
+                                 f"round's kernel pass, above the limit of {MAX_VALUES}")
         policies[phase] = SearchPolicy(nets[2 * i], nets[2 * i + 1], window)
     return policies, {phase: fi for phase, (_, _, fi) in metas.items()}
 
@@ -367,8 +400,11 @@ def cmd_infer(args) -> int:
         if args.rmi_predictions_dir:
             predictions_dir = Path(args.rmi_predictions_dir)
         elif args.train_features_dir and args.train_labels_dir:
-            classifier = _fit_clip_classifier(_load_dataset(
-                Path(args.train_features_dir), Path(args.train_labels_dir), args.phases)[1], args)
+            _, train_paths, train_labels, train_dim = _read_dataset(
+                Path(args.train_features_dir), Path(args.train_labels_dir), args.phases)
+            train_seqs = _load_rows(train_paths, [lab.num_clips for lab in train_labels],
+                                    train_dim, 0)
+            classifier = _fit_clip_classifier(list(zip(train_seqs, train_labels)), args)
         else:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
                              "--train-features-dir and --train-labels-dir")
@@ -393,12 +429,11 @@ def cmd_infer(args) -> int:
     # Every phase searches every video, so the widest window's padding is the largest.
     widest = max(phases, key=lambda phase: policies[phase].window_len)
     try:
-        padded, bases = zero_padded(lengths, dim, policies[widest].window_len // 2)
+        seqs = _load_rows(paths, lengths, dim, policies[widest].window_len // 2)
     except ValueError as exc:
         raise PhaseseekError(f"{_meta_path(ckpt_dir, widest)}: {exc}") from exc
     videos, searches = [], []
-    for stem, path, base, t in zip(stems, paths, bases.tolist(), lengths):
-        seq = load_features(path, out=padded[base: base + t])
+    for stem, seq in zip(stems, seqs):
         # One per-clip label vector per video, shared by all its phases.
         predicted = None
         if predictions_dir is not None:

@@ -257,8 +257,9 @@ def _arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 class StackCache:
     """Every step's activations of one cached :func:`forward_stack` pass.
 
-    The arrays are views of one block allocated for the pass; ``grad_z`` and
-    ``grad_h`` are :func:`backward_stack`'s room in it.
+    The arrays are views of one block allocated for the pass.  The cache
+    serves one :func:`backward_stack`, which writes its gradients over the
+    gates and tanh(cells) it has finished reading, and marks it ``spent``.
     """
 
     stack: QNetwork
@@ -268,8 +269,7 @@ class StackCache:
     tanh_cells: np.ndarray  # (layers, N, T, B, H)
     hiddens: np.ndarray     # (layers, N, T, B, H)
     a1: np.ndarray          # (N, B, FC1_UNITS)
-    grad_z: np.ndarray      # (N, T, B, 4H) gate-minor, like the checkpoint columns
-    grad_h: np.ndarray      # (N, T, B, H)
+    spent: bool = False
 
 
 def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
@@ -301,12 +301,12 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     shapes = [(shared, n, kept, 4, b, h), (depth, n, kept, b, h), (shared, n, kept, b, h),
               (depth, n, kept, b, h)]
     if cache:
-        shapes += [(n, t, b, d), (n, t, b, 4 * h), (n, t, b, h)]
-    gates, cells, tcells, hiddens, *cache_room = _arrays(shapes)
+        shapes.append((n, t, b, d))
+    gates, cells, tcells, hiddens, *x_room = _arrays(shapes)
     seq = x.transpose(0, 2, 1, 3)  # (N, T, B, D) view
     if cache:  # kept contiguous for the backward's weight gradients
-        cache_room[0][...] = seq
-        seq = cache_room[0]
+        x_room[0][...] = seq
+        seq = x_room[0]
     rec = np.empty((n, 4, b, h))
     prod = np.empty((n, b, h))
     # Views of each layer's blocks at each kept step, built once, so an
@@ -315,7 +315,6 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
                 z[:, 0], z[:, 1], z[:, 2], z[:, 3], tcells[li % shared, :, k])
                for k, z in enumerate(gates[li % shared].transpose(1, 0, 2, 3, 4))]
               for li in range(depth)]
-    c_zero = np.zeros((n, b, h))
     with np.errstate(over="ignore"):
         for step in range(t):
             k, k_prev = (step, step - 1) if cache else (0, 0)
@@ -332,7 +331,8 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
                 sig += 1.0
                 np.divide(1.0, sig, out=sig)
                 np.tanh(g_gate, out=g_gate)
-                np.multiply(f_gate, c_prev if step else c_zero, out=c)
+                # The cell state starts at zero: f * +0.0 at step 0.
+                np.multiply(f_gate, c_prev if step else 0.0, out=c)
                 np.multiply(i_gate, g_gate, out=prod)
                 c += prod
                 np.tanh(c, out=tc)
@@ -342,16 +342,26 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     q = a1 @ stack.fc2_w + stack.fc2_b
     if not cache:
         return q
-    return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1, *cache_room[1:])
+    return q, StackCache(stack, seq, gates, cells, tcells, hiddens, a1)
 
 
 def cached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps: int,
                        batch: int) -> int:
     """Values in the one block a cached :func:`forward_stack` pass allocates
-    for one network on a ``(batch, steps, input_dim)`` batch: the inputs,
-    every step's gates, cells, tanh(cells) and hiddens, and the backward's
-    room.  Python ints, so no overflow."""
-    return steps * batch * (input_dim + hidden_dim * (7 * num_layers + 5))
+    for one network on a ``(batch, steps, input_dim)`` batch: the inputs and
+    every step's gates, cells, tanh(cells) and hiddens, which
+    :func:`backward_stack` reuses for its gradients.  Python ints, so no
+    overflow."""
+    return steps * batch * (input_dim + 7 * hidden_dim * num_layers)
+
+
+def uncached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps: int,
+                         batch: int) -> int:
+    """Values an uncached :func:`forward_stack` pass of one network on a
+    ``(batch, steps, input_dim)`` batch holds at once: the batch, as
+    :func:`q_values` zero-pads it, and one step's gates, cells, tanh(cells),
+    hiddens and products.  Python ints, so no overflow."""
+    return batch * (steps * input_dim + hidden_dim * (2 * num_layers + 10))
 
 
 # Batch geometry of q_values.  OpenBLAS's x86-64 dgemm rounds a product row
@@ -397,20 +407,26 @@ def q_values(stack: QNetwork, which, states) -> np.ndarray:
 def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of sum(dq * q) w.r.t. every stacked network's parameters.
 
-    ``cache`` must come from a cached ``forward_stack`` pass on ``stack``;
-    ``dq`` is (N, B, NUM_ACTIONS).  Returns one array per parameter,
-    shaped like :func:`param_list`'s.  Each step's gate gradients are
-    written gate-minor, so the products over 4H sum in the checkpoint
-    file's column order; the weight gradients are then moved into the
-    kernel layout, which is exact.
+    ``cache`` must come from a cached ``forward_stack`` pass on ``stack``
+    that no backward has consumed yet; ``dq`` is (N, B, NUM_ACTIONS).
+    Returns one array per parameter, shaped like :func:`param_list`'s.
+    Each step's gate gradients are written gate-minor, so the products over
+    4H sum in the checkpoint file's column order; the weight gradients are
+    then moved into the kernel layout, which is exact.  The gradients take
+    the cache's room: step s's gate gradients overwrite step s's gates once
+    they are read, and the gradient a layer passes down overwrites its
+    tanh(cells), so the cache is spent afterwards.
     """
     if cache is None or cache.stack is not stack:
         raise PhaseseekError("cache does not belong to this network")
+    if cache.spent:
+        raise PhaseseekError("cache was already consumed by a backward pass")
     n, t, b, _ = cache.x.shape
     h = stack.hidden_dim
     dq = np.asarray(dq, dtype=np.float64)
     if dq.shape != (n, b, NUM_ACTIONS):
         raise PhaseseekError(f"dq shape {dq.shape} does not match the ({n}, {b}) batch")
+    cache.spent = True
 
     # Dense head.
     a1, h_last = cache.a1, cache.hiddens[-1][:, -1]
@@ -422,18 +438,19 @@ def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[n
     d_fc1_b = dz1.sum(axis=1, keepdims=True)
     dh_last = dz1 @ stack.fc1_w.transpose(0, 2, 1)
 
-    # Upstream gradient w.r.t. the top layer's hidden sequence.
-    d_seq, dz = cache.grad_h, cache.grad_z
-    d_seq.fill(0.0)
-    d_seq[:, -1] = dh_last
-    dz_steps = dz.reshape(n, t, b, 4, h).transpose(0, 1, 3, 2, 4)  # (N, T, 4, B, H) view
+    # Upstream gradient w.r.t. a layer's hidden sequence: for the top layer
+    # dh_last at the last step and zero before, for a lower one the rows
+    # the layer above wrote.
+    d_seq = None
     fac = np.empty((n, 4, b, h))  # a step's factors that do not depend on dc
-    dh, dh_rec, dc, dc_o = (np.empty((n, b, h)) for _ in range(4))
+    dh, dh_rec, dc, dc_next, dc_o = (np.empty((n, b, h)) for _ in range(5))
 
     grads = [d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b]
     for li in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[li]
         gates, cells, tcells = cache.gates[li], cache.cells[li], cache.tanh_cells[li]
+        dz = gates.reshape(n, t, b, 4 * h)  # gate gradients, gate-minor, in the gates' room
+        dz_steps = dz.reshape(n, t, b, 4, h).transpose(0, 1, 3, 2, 4)  # (N, T, 4, B, H) view
         w_rec_t = np.ascontiguousarray(_gate_minor(layer.w_rec).transpose(0, 2, 1))
         dh_rec.fill(0.0)
         dc.fill(0.0)
@@ -453,16 +470,21 @@ def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[n
             np.multiply(tc, tc, out=dc_o)
             np.subtract(1.0, dc_o, out=dc_o)
             dc_o *= g[:, 2]                           # (1 - tanh(c)^2) * o
-            np.add(d_seq[:, step], dh_rec, out=dh)
+            if d_seq is not None:
+                np.add(d_seq[:, step], dh_rec, out=dh)
+            else:
+                np.add(dh_last if step == t - 1 else 0.0, dh_rec, out=dh)
             dc_o *= dh
             dc += dc_o
+            if step > 0:  # the forget gate, read before its block is overwritten
+                np.multiply(dc, g[:, 1], out=dc_next)
             dzs = dz_steps[:, step]
             np.multiply(fac[:, :2], dc[:, None], out=dzs[:, :2])
             np.multiply(fac[:, 2], dh, out=dzs[:, 2])
             np.multiply(fac[:, 3], dc, out=dzs[:, 3])
             if step > 0:  # step 0's recurrent gradient would reach the zero initial state
                 np.matmul(dz[:, step], w_rec_t, out=dh_rec)
-                dc *= g[:, 1]
+                dc, dc_next = dc_next, dc
 
         dz_flat = dz.reshape(n, t * b, 4 * h)
         # Recurrent weights see the hidden state one step earlier; step 0
@@ -474,7 +496,9 @@ def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[n
         d_bias = dz_flat.sum(axis=1, keepdims=True)
         grads[:0] = map(_gate_major, (d_w_in, d_w_rec, d_bias))
         if li > 0:
-            # Lower layer's hidden dim equals h, so d_seq can be rebuilt in place.
+            # The lower layer's hidden dim equals h, so its upstream gradient
+            # fits in this layer's tanh(cells), which are no longer read.
+            d_seq = tcells
             np.matmul(dz_flat, _gate_minor(layer.w_in).transpose(0, 2, 1),
                       out=d_seq.reshape(n, t * b, h))
     return grads

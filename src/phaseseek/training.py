@@ -7,7 +7,8 @@ windows) and move their window one clip left or right per step.  A move is
 rewarded +1 when it brings the window center closer to that video's true
 transition and -1 otherwise.  Updates follow the usual pattern: experiences
 go to a per-agent ring buffer, batches are regressed onto Bellman targets
-from a periodically synchronized target network.
+from a periodically synchronized target network.  At ``gamma`` 0 a target
+is the reward alone, and no target network exists.
 
 Position updates keep ``begin <= end`` at all times: moves are clamped to
 the video bounds and against the partner position (begin first, then end
@@ -234,7 +235,7 @@ def select_action(
 
 def dqn_update(
     net: QNetwork,
-    target_net: QNetwork,
+    target_net: QNetwork | None,
     memory: ReplayMemory,
     padded: np.ndarray,
     batch: int,
@@ -247,7 +248,8 @@ def dqn_update(
 
     The sampled window rows are gathered from ``padded``.  The online
     network runs one cached kernel pass and its backward; the target network
-    runs one uncached pass, only when ``gamma`` is not zero.
+    runs one uncached pass, only when ``gamma`` is not zero (at zero it may
+    be None).
     """
     if len(memory) < batch:
         return None
@@ -284,9 +286,10 @@ class TrainVideoLog:
 
 @dataclass
 class _AgentSlot:
-    # One agent's mutable training state: network, target, optimizer, memory.
+    # One agent's mutable training state: network, target (None at gamma
+    # 0, which reads no target), optimizer, memory.
     net: QNetwork
-    target: QNetwork
+    target: QNetwork | None
     adam: AdamState
     memory: ReplayMemory
     gt: int = 0
@@ -298,8 +301,23 @@ class _AgentSlot:
     @classmethod
     def fresh(cls, input_dim: int, cfg: TrainConfig, seed: int, capacity: int) -> _AgentSlot:
         net = init_qnetwork(input_dim, cfg.hidden_dim, cfg.num_layers, seed=seed)
-        return cls(net, clone_params(net), adam_init(param_list(net), lr=cfg.lr),
-                   ReplayMemory(capacity))
+        target = clone_params(net) if cfg.gamma != 0.0 else None
+        return cls(net, target, adam_init(param_list(net), lr=cfg.lr), ReplayMemory(capacity))
+
+
+def check_update_size(cfg: TrainConfig, dim: int) -> None:
+    """Raise ``ValueError`` when one update's cached kernel pass over a batch
+    of states of ``dim`` features (see
+    :func:`~phaseseek.nets.cached_pass_values`), the largest array of a run,
+    would exceed ``MAX_VALUES`` values; a greedy step pads its one state to
+    4 rows."""
+    values = cached_pass_values(dim, cfg.hidden_dim, cfg.num_layers, 2 * cfg.window_len,
+                                max(cfg.batch, 4))
+    if values > MAX_VALUES:
+        raise ValueError(f"a batch of {cfg.batch} states of 2 x window_len {cfg.window_len} "
+                         f"rows of dim {dim} needs {values} values in one cached kernel pass "
+                         f"at hidden_dim {cfg.hidden_dim} and num_layers {cfg.num_layers}, "
+                         f"above the limit of {MAX_VALUES}")
 
 
 def train(
@@ -323,8 +341,10 @@ def train(
     exactly as at inference time.  ``on_video`` receives a
     :class:`TrainVideoLog` after each video.  Deterministic for a fixed
     (dataset, cfg, init).  Raises ``ValueError``, before allocating, when
-    one update's cached kernel pass (see :func:`~phaseseek.nets.cached_pass_values`)
-    or the window padding would exceed ``MAX_VALUES`` values.
+    one update's cached kernel pass (see :func:`check_update_size`) or the
+    window padding would exceed ``MAX_VALUES`` values.  Videos that already
+    are whole rows of one zero-padded matrix (see :func:`pad_videos`) are
+    trained on in place.
     """
     if not dataset:
         raise PhaseseekError("empty training dataset")
@@ -338,16 +358,8 @@ def train(
     if not usable:
         raise PhaseseekError(f"phase {phase} absent from every training video")
 
-    # The largest array of a run is one update's cached kernel pass over a
-    # batch of states; a greedy step pads its one state to 4 rows.
     dim = usable[0][1].dim
-    values = cached_pass_values(dim, cfg.hidden_dim, cfg.num_layers, 2 * cfg.window_len,
-                                max(cfg.batch, 4))
-    if values > MAX_VALUES:
-        raise ValueError(f"a batch of {cfg.batch} states of 2 x window_len {cfg.window_len} "
-                         f"rows of dim {dim} needs {values} values in one cached kernel pass "
-                         f"at hidden_dim {cfg.hidden_dim} and num_layers {cfg.num_layers}, "
-                         f"above the limit of {MAX_VALUES}")
+    check_update_size(cfg, dim)
     rng = np.random.default_rng(cfg.seed)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)
     # A memory holds at most the records the run pushes, so it wraps exactly
@@ -383,7 +395,7 @@ def train(
                         slot.loss_sum += loss
                         slot.loss_count += 1
                         slot.updates += 1
-                        if slot.updates % cfg.target_sync_period == 0:
+                        if slot.target is not None and slot.updates % cfg.target_sync_period == 0:
                             copy_params_into(slot.net, slot.target)
                     slot.pos = new_pos
                 rows = next_rows

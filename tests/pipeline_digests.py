@@ -9,6 +9,8 @@ checkouts can be compared with ``diff``::
 
     PYTHONPATH=src python3 tests/pipeline_digests.py --window 3 --layers 1 > a.txt
 
+``--gamma`` (default 0.9) sets the training discount: at 0 the agents
+train without a target network, at any other value with one.
 Pytest does not collect this file.  It takes about 15 s on one core.
 """
 
@@ -26,10 +28,10 @@ from phaseseek.cli import main
 
 PHASES = 3
 TRAIN = ["--episodes", "3", "--max-steps", "60", "--batch", "16", "--hidden", "8",
-         "--gamma", "0.9", "--target-sync", "5", "--eps-start", "0.5", "--seed", "3"]
+         "--target-sync", "5", "--eps-start", "0.5", "--seed", "3"]
 
 
-def run(root: Path, window: int, layers: int) -> None:
+def run(root: Path, window: int, layers: int, gamma: float) -> None:
     def cli(*argv) -> None:
         code = main([str(a) for a in argv])
         if code != 0:
@@ -47,7 +49,7 @@ def run(root: Path, window: int, layers: int) -> None:
             cli("train", "--phase", phase, "--phases", PHASES, "--init", init,
                 "--features-dir", train, "--labels-dir", train,
                 "--checkpoints-dir", root / f"ckpt_{init}", "--window", window,
-                "--layers", layers, *TRAIN)
+                "--layers", layers, "--gamma", gamma, *TRAIN)
     infer = ["infer", "--phases", PHASES, "--features-dir", test]
     rmi = ["--init", "rmi", "--checkpoints-dir", root / "ckpt_rmi"]
     cli(*infer, "--checkpoints-dir", root / "ckpt_fi", "--out-dir", root / "pred_fi")
@@ -66,12 +68,13 @@ def main_digests(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--gamma", type=float, default=0.9)
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "reports").mkdir()
         with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages
-            run(root, args.window, args.layers)
+            run(root, args.window, args.layers, args.gamma)
         for path in sorted(q for q in root.rglob("*") if q.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import phaseseek
-from phaseseek import cli, inference
+from phaseseek import cli, inference, training
 from phaseseek.cli import main
 from phaseseek.features import load_labels
 from phaseseek.inference import LinearClipClassifier
@@ -149,6 +149,37 @@ class TestTrain:
             blobs.append((ckpt / "phase1_begin.qnet").read_bytes()
                          + (ckpt / "phase1_end.qnet").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_videos_are_trained_in_place(self, workspace, tmp_path, monkeypatch):
+        # Each .trnf payload is decoded straight into its rows of the padded
+        # matrix, so pad_videos trains on that matrix and copies nothing.
+        shared = []
+        real = training.pad_videos
+
+        def spy(videos, pad):
+            padded, bases = real(videos, pad)
+            shared.extend(np.shares_memory(v.features, padded) for v in videos)
+            return padded, bases
+
+        monkeypatch.setattr(training, "pad_videos", spy)
+        assert main([str(a) for a in (
+            "train", "--phase", 0, "--phases", 2, "--features-dir", workspace / "data",
+            "--labels-dir", workspace / "data", "--checkpoints-dir", tmp_path / "ck",
+            *TINY_TRAIN)]) == 0
+        assert shared and all(shared)
+
+    def test_mixed_feature_dims_are_data_errors(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        _synth(tmp_path / "odd", count=1, extra=("--dim", "5"))
+        for ext in (".trnf", ".csv"):
+            shutil.copy(tmp_path / "odd" / f"video_000{ext}", data / f"video_999{ext}")
+        code, err = _run(["train", "--phase", 0, "--phases", 2, "--features-dir", data,
+                          "--labels-dir", data, "--checkpoints-dir", tmp_path / "ck",
+                          *TINY_TRAIN])
+        assert code == 2
+        assert "video_999" in err and "Traceback" not in err
+        assert not (tmp_path / "ck").exists()
 
     def test_phase_out_of_range_is_usage_error(self, tmp_path):
         assert main([
@@ -512,6 +543,24 @@ class TestMalformedInputs:
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
                                          "window": 100000001}))
         code, err = _run(["infer", "--phases", 2, "--features-dir", workspace / "data",
+                          "--checkpoints-dir", ckpt, "--out-dir", tmp_path / "out"],
+                         address_space=2 << 30)
+        assert code == 2
+        assert "phase1_meta.json" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_meta_window_round(self, workspace, tmp_path):
+        # One dim-6 video admits the zero padding of a 22369621-clip window,
+        # but one search round's states needed 4 GiB: refused before
+        # allocating, naming the meta file.
+        data = tmp_path / "one"
+        _synth(data, count=1)
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        meta_path = ckpt / "phase1_meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "window": 22369621}))
+        code, err = _run(["infer", "--phases", 2, "--features-dir", data,
                           "--checkpoints-dir", ckpt, "--out-dir", tmp_path / "out"],
                          address_space=2 << 30)
         assert code == 2

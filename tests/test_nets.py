@@ -257,6 +257,18 @@ class TestBackwardStack:
             backward_stack(stack, cache, np.ones((1, 3, 2)))
 
 
+    def test_cache_serves_one_backward(self):
+        # The backward writes its gradients over the cache's gates and
+        # tanh(cells), so a second backward on the same cache is refused.
+        stack = stack_networks([init_qnetwork(3, 8, 2, seed=1)])
+        rng = np.random.default_rng(4)
+        _, cache = forward_stack(stack, rng.normal(size=(1, 4, 5, 3)), cache=True)
+        dq = rng.normal(size=(1, 4, 2))
+        backward_stack(stack, cache, dq)
+        with pytest.raises(PhaseseekError, match="consumed"):
+            backward_stack(stack, cache, dq)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = init_qnetwork(3, 4, 2, seed=1)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,29 @@ class TestDqnUpdate:
         assert loss < 1e-3
 
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    def test_update_holds_one_pass_block(self, gamma):
+        # One B=128 update at 2L=10, D=16, H=64 and 2 layers: the cached
+        # pass block (8.9 MiB) also holds the backward's gate and hidden
+        # gradients.  With separate room for them the traced heap peak read
+        # 13.68 MiB.
+        rng = np.random.default_rng(3)
+        padded = rng.normal(size=(200, 16))
+        cfg = TrainConfig(window_len=5, batch=128, gamma=gamma)
+        net, target, adam, memory = _agent(16, cfg)
+        for _ in range(200):
+            memory.push(rng.integers(0, 200, size=10), rng.integers(0, 200, size=10),
+                        int(rng.integers(2)), 1)
+        dqn_update(net, target, memory, padded, cfg.batch, gamma, adam, rng)
+        tracemalloc.start()
+        try:
+            assert dqn_update(net, target, memory, padded, cfg.batch, gamma, adam, rng) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5 * 2**20
+
+
 def _row_dqn_update(row, row_target, memory, padded, batch, gamma, adam, rng):
     # dqn_update on row-layout weights, through the row-major reference kernel.
     states, next_states, actions, rewards = memory.sample(batch, rng)
@@ -435,6 +461,30 @@ class TestTrain:
         assert n > 0
         assert set(np.unique(begin_memory._rewards[:n])) <= {-1, 1}
 
+    def test_no_target_network_at_zero_gamma(self, monkeypatch):
+        # At gamma 0 a Bellman target is the reward alone: no target network
+        # is cloned or synced, and the trained weights equal those of a run
+        # that holds and syncs one.
+        clones, syncs = [], []
+        real_clone, real_copy = training.clone_params, training.copy_params_into
+        monkeypatch.setattr(training, "clone_params",
+                            lambda net: clones.append(net) or real_clone(net))
+        monkeypatch.setattr(training, "copy_params_into",
+                            lambda src, dst: syncs.append(dst) or real_copy(src, dst))
+        dataset, init = _tiny_dataset(), FixedInit(0.4, 0.9)
+        cfg = _tiny_config(target_sync_period=5)
+        lean = train(dataset, 1, cfg, init)
+        assert clones == [] and syncs == []
+        fresh = training._AgentSlot.fresh.__func__
+        monkeypatch.setattr(training._AgentSlot, "fresh", classmethod(
+            lambda cls, dim, cfg, seed, capacity:
+                fresh(cls, dim, dataclasses.replace(cfg, gamma=0.5), seed, capacity)))
+        held = train(dataset, 1, cfg, init)
+        assert len(clones) == 2 and syncs
+        for net_a, net_b in ((lean.begin_net, held.begin_net), (lean.end_net, held.end_net)):
+            for a, b in zip(param_list(net_a), param_list(net_b), strict=True):
+                assert a.tobytes() == b.tobytes()
+
     def test_no_network_is_restacked(self, monkeypatch):
         # Training evaluates and updates each network where it lies: no
         # step copies a network into a stack.
@@ -452,7 +502,7 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [("window_len", 2**21 + 1), ("batch", 2**21),
                                               ("hidden_dim", 2**20)])
     def test_oversized_update_rejected_before_allocating(self, field, value):
-        # One update's cached kernel pass is 2L x batch x (D + H(7 layers + 5))
+        # One update's cached kernel pass is 2L x batch x (D + 7 H layers)
         # values; above MAX_VALUES the run is refused, naming its fields.
         cfg = _tiny_config(**{field: value})
         with pytest.raises(ValueError, match=f"batch.*window_len.*hidden_dim.*num_layers"):
