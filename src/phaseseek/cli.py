@@ -39,11 +39,12 @@ from .inference import (
     PredictionInit,
     coverage_rate,
     fit_fi,
-    rollout_many,
+    rollout_sharded,
+    round_values,
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
-from .nets import load_checkpoints, save_checkpoint, uncached_pass_values
+from .nets import load_checkpoints, save_checkpoint
 from .training import SearchPolicy, TrainConfig, check_update_size, train, zero_padded
 
 TRANSITIONS_SCHEMA_VERSION = 1
@@ -349,10 +350,7 @@ def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dic
 
     Every network loads into one stack per geometry, phases ordered by
     window length, so the networks that ``rollout_many`` groups together
-    are consecutive stack rows, which it searches without a copy.  A phase
-    whose smallest search round, one kernel pass of its two networks on 4
-    zero-padded states each (see :func:`~phaseseek.nets.q_values`), would
-    exceed ``MAX_VALUES`` values is a data error naming its meta file.
+    are consecutive stack rows, which it searches without a copy.
     """
     metas = {phase: _read_meta(ckpt_dir, phase) for phase in phases}
     order = sorted(metas, key=lambda phase: metas[phase][0])
@@ -366,20 +364,8 @@ def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dic
             if net.input_dim != input_dim:
                 raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
                                      f"meta input_dim {input_dim}")
-        values = sum(uncached_pass_values(input_dim, net.hidden_dim, net.num_layers, 2 * window, 4)
-                     for net in nets[2 * i: 2 * i + 2])
-        if values > MAX_VALUES:
-            raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: states of 2 x window {window} "
-                                 f"rows of dim {input_dim} need {values} values in one search "
-                                 f"round's kernel pass, above the limit of {MAX_VALUES}")
         policies[phase] = SearchPolicy(nets[2 * i], nets[2 * i + 1], window)
     return policies, {phase: fi for phase, (_, _, fi) in metas.items()}
-
-
-def _load_policy(ckpt_dir: Path, phase: int) -> tuple[SearchPolicy, FixedInit]:
-    """One phase's frozen policy and fixed initialization (see :func:`_load_policies`)."""
-    policies, fis = _load_policies(ckpt_dir, [phase])
-    return policies[phase], fis[phase]
 
 
 def cmd_infer(args) -> int:
@@ -409,10 +395,10 @@ def cmd_infer(args) -> int:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
                              "--train-features-dir and --train-labels-dir")
 
-    # Every (video, phase) search runs in one lockstep batch, so every
-    # video's header is checked before anything is allocated or written.
-    # The videos then load into one zero-padded matrix, padded for the
-    # widest window, which rollout_many searches in place.
+    # Every (video, phase) search runs in one lockstep batch per process,
+    # so every video's header is checked before anything is allocated or
+    # written.  The videos then load into one zero-padded matrix, padded
+    # for the widest window, which rollout_many searches in place.
     features_dir = Path(args.features_dir)
     stems = _video_stems(features_dir)
     paths = [features_dir / f"{stem}.trnf" for stem in stems]
@@ -426,6 +412,15 @@ def cmd_infer(args) -> int:
                 raise PhaseseekError(f"{stem}: feature dim {d} does not match "
                                      f"input dim {expected} of the phase {phase} policy")
         lengths.append(t)
+    # A window group's first search round, every network on one state per
+    # video, is its largest: bound it before anything is allocated.
+    for phase, values in zip(phases, round_values([policies[p] for p in phases], len(lengths))):
+        if values > MAX_VALUES:
+            window = policies[phase].window_len
+            raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: the states of {len(lengths)} "
+                                 f"video(s), 2 x window {window} rows of dim {dim} each, need "
+                                 f"{values} values in one search round, above the limit of "
+                                 f"{MAX_VALUES}")
     # Every phase searches every video, so the widest window's padding is the largest.
     widest = max(phases, key=lambda phase: policies[phase].window_len)
     try:
@@ -450,7 +445,7 @@ def cmd_infer(args) -> int:
                 init = PredictionInit(lambda video, labels=predicted: labels, fallback=init)
             searches.append((policies[phase], seq, init.initial_positions(seq, phase)))
         videos.append((stem, seq, rmi))
-    results = iter(rollout_many(searches, max_steps=args.max_steps))
+    results = iter(rollout_sharded(searches, max_steps=args.max_steps))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,9 @@ coverage is total.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import QNetwork, q_values, stack_networks
+from .nets import QNetwork, padded_rows, q_values, stack_networks, uncached_pass_values
 from .training import (
     ROLE_BEGIN,
     ROLE_END,
@@ -180,6 +183,37 @@ class RolloutResult:
             raise ValueError("begin must not exceed end")
 
 
+def _group_key(net: QNetwork, window_len: int) -> tuple:
+    # rollout_many evaluates networks of one geometry that read windows of
+    # one length together.
+    return (net.input_dim, net.hidden_dim, net.num_layers, window_len)
+
+
+def round_values(policies: list[SearchPolicy], videos: int) -> list[int]:
+    """Per policy, the values the largest array of :func:`rollout_many`'s
+    first round holds in the policy's groups, when every policy searches
+    each of ``videos`` videos once.
+
+    The first round moves every agent, so each network of a group
+    evaluates one state per search of each policy it serves, and
+    :func:`~phaseseek.nets.q_values` zero-pads every network's batch to
+    :func:`~phaseseek.nets.padded_rows` of the busiest one.  That padded
+    batch, with one step's working set (see
+    :func:`~phaseseek.nets.uncached_pass_values`), is at least as large
+    as the round's state gather, ``2L x D`` values per moving agent.
+    """
+    groups: dict[tuple, dict[int, int]] = {}  # per group key: states per network
+    for policy in policies:
+        for net in (policy.begin_net, policy.end_net):
+            states = groups.setdefault(_group_key(net, policy.window_len), {})
+            states[id(net)] = states.get(id(net), 0) + videos
+    values = {key: len(states) * uncached_pass_values(*key[:3], 2 * key[3],
+                                                      padded_rows(max(states.values())))
+              for key, states in groups.items()}
+    return [max(values[_group_key(net, policy.window_len)]
+                for net in (policy.begin_net, policy.end_net)) for policy in policies]
+
+
 class _StackGroup:
     # Networks of one geometry that read windows of one length, stacked for
     # q_values, and the videos they search in one padded feature matrix,
@@ -224,7 +258,7 @@ def rollout_many(
             if net.input_dim != video.dim:
                 raise PhaseseekError(f"video feature dim {video.dim} does not match "
                                      f"network input dim {net.input_dim}")
-            key = (net.input_dim, net.hidden_dim, net.num_layers, policy.window_len)
+            key = _group_key(net, policy.window_len)
             nets, videos = members.setdefault(key, ({}, {}))
             row = nets.setdefault(id(net), (len(nets), net))[0]
             videos[id(video)] = video
@@ -284,6 +318,101 @@ def rollout_many(
         visited = {c for a, b in zip(lo, hi)
                    for c in range(max(a - before, 0), min(b + after, video.num_clips))}
         results.append(RolloutResult(p_b, max(p_b, p_e), taken, visited, done))
+    return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _start_worker(searches, max_steps: int):
+    # A forked child that runs rollout_many on ``searches`` and writes the
+    # pickled (True, results) or (False, exception) to a pipe; its pid and
+    # the pipe's read end.  The child never returns: it leaves by os._exit,
+    # so nothing of the parent's (buffers, exit handlers) runs twice.
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                outcome = (True, rollout_many(searches, max_steps))
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = (False, exc)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def rollout_sharded(
+    searches: list[tuple[SearchPolicy, FeatureSequence, tuple[int, int]]],
+    max_steps: int = 200,
+) -> list[RolloutResult]:
+    """:func:`rollout_many`'s results, with each policy's searches run in
+    one of up to one process per usable CPU.
+
+    The searches split by policy into ``min(usable CPUs, policies)``
+    shards, policies dealt round-robin in the order they first appear.
+    Searches of different policies never share a network, and a state's
+    Q-values do not depend on its batch companions, so each shard's
+    :func:`rollout_many` gives every search the result it gets in one call.
+    Each shard after the first runs in a forked child, which sends its
+    results through a pipe; this process runs the first shard, reads every
+    pipe to its end before reaping its child (a result can outgrow the
+    pipe's buffer), and merges the results back into input order.  An
+    exception a child raised is raised here again, with its type and
+    message; when this process's own shard raises, every child is killed
+    and reaped first.  Without ``os.fork``, with one usable CPU, or with
+    one policy, this is one :func:`rollout_many` call.
+    """
+    policies = list(dict.fromkeys(id(policy) for policy, _, _ in searches))
+    count = min(_usable_cpus(), len(policies)) if hasattr(os, "fork") else 1
+    if count <= 1:
+        return rollout_many(searches, max_steps)
+    shard_of = {policy: i % count for i, policy in enumerate(policies)}
+    shards: list[list[int]] = [[] for _ in range(count)]
+    for i, (policy, _, _) in enumerate(searches):
+        shards[shard_of[id(policy)]].append(i)
+
+    workers = []  # (pid, pipe) of every child not reaped yet
+    try:
+        for shard in shards[1:]:
+            workers.append(_start_worker([searches[i] for i in shard], max_steps))
+        outcomes = [(True, rollout_many([searches[i] for i in shards[0]], max_steps))]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code:  # the child ended before it sent all of its outcome
+                raise ChildProcessError(f"search worker {pid} ended without its results "
+                                        f"(exit code {code})")
+            outcomes.append(pickle.loads(data))
+    except BaseException:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+    results: list = [None] * len(searches)
+    for shard, (ok, value) in zip(shards, outcomes):
+        if not ok:
+            raise value
+        for i, result in zip(shard, value):
+            results[i] = result
     return results
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -244,25 +244,28 @@ def aggregate_reports(reports: list[VideoReport]) -> dict:
     return summary
 
 
-def report_payload(reports: list[VideoReport]) -> dict:
-    """JSON-ready payload: per-video records plus the aggregate block."""
-    videos = []
-    for r in reports:
-        rec = asdict(r)
-        rec["ward"] = asdict(r.ward)
-        videos.append(rec)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "videos": videos,
-        "aggregate": aggregate_reports(reports),
-    }
-
-
+# VideoReport's fields before ``ward``, in declaration order: the CSV
+# columns, and the keys of each JSON record before its ``ward`` tally.
 _CSV_FIELDS = [
     "video", "num_clips", "accuracy", "precision", "recall", "f1",
     "events_gt", "events_det", "event_ratio", "ward_correct",
     "ward_event_ratio", "coverage",
 ]
+
+
+def report_payload(reports: list[VideoReport]) -> dict:
+    """JSON-ready payload: per-video records plus the aggregate block.
+
+    Each record holds the report's fields in declaration order, ``ward``
+    as a dict of the tally's fields, as ``dataclasses.asdict`` gives them.
+    """
+    videos = [{**{name: getattr(r, name) for name in _CSV_FIELDS}, "ward": dict(vars(r.ward))}
+              for r in reports]
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "videos": videos,
+        "aggregate": aggregate_reports(reports),
+    }
 
 
 def write_report(reports: list[VideoReport], json_path, csv_path=None) -> dict:

@@ -375,6 +375,17 @@ _ROW_MULTIPLE = 4
 _MAX_ROWS = 256
 
 
+def _pass_width(states: int) -> int:
+    return min(states + -states % _ROW_MULTIPLE, _MAX_ROWS)
+
+
+def padded_rows(states: int) -> int:
+    """Rows :func:`q_values` zero-pads ``states`` states of its busiest
+    network to, over all its passes; every network gets as many."""
+    width = _pass_width(states)
+    return -(-states // width) * width
+
+
 def q_values(stack: QNetwork, which, states) -> np.ndarray:
     """Q-values (M, NUM_ACTIONS) of each ``states[m]`` under network ``which[m]``.
 
@@ -396,7 +407,7 @@ def q_values(stack: QNetwork, which, states) -> np.ndarray:
     slot[np.argsort(net, kind="stable")] = (np.arange(len(net))
                                             - np.repeat(np.cumsum(counts) - counts, counts))
     busiest = int(counts.max())
-    width = min(busiest + -busiest % _ROW_MULTIPLE, _MAX_ROWS)
+    width = _pass_width(busiest)
     passes, row = np.divmod(slot, width)
     x = np.zeros((-(-busiest // width), len(counts), width) + states.shape[1:])
     x[passes, net, row] = states

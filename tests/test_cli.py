@@ -2,9 +2,11 @@ import json
 import os
 import resource
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 import phaseseek
 from phaseseek import cli, inference, training
 from phaseseek.cli import main
+from phaseseek.errors import PhaseseekError
 from phaseseek.features import load_labels
 from phaseseek.inference import LinearClipClassifier
 from phaseseek.nets import param_list
@@ -51,10 +54,11 @@ NOT_UTF8_LABELS = b"clip_index,phase\r\n0,\xff\r\n"
 
 
 def _infer_holding(monkeypatch, argv) -> dict:
-    # Run infer, recording its searches, every network stack q_values
-    # evaluates and every feature matrix pad_videos returns.
+    # Run infer in one process, recording its searches, every network stack
+    # q_values evaluates and every feature matrix pad_videos returns.
     seen = {"stacks": [], "matrices": []}
-    real_rollout, real_q, real_pad = cli.rollout_many, inference.q_values, inference.pad_videos
+    real_rollout, real_q = inference.rollout_many, inference.q_values
+    real_pad = inference.pad_videos
 
     def rollout_many(searches, max_steps):
         seen["searches"] = searches
@@ -69,7 +73,8 @@ def _infer_holding(monkeypatch, argv) -> dict:
         seen["matrices"].append(padded)
         return padded, base
 
-    monkeypatch.setattr(cli, "rollout_many", rollout_many)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(inference, "rollout_many", rollout_many)
     monkeypatch.setattr(inference, "q_values", q_values)
     monkeypatch.setattr(inference, "pad_videos", pad_videos)
     assert main([str(a) for a in argv]) == 0
@@ -337,6 +342,101 @@ class TestInfer:
         ]) == 0
 
 
+@pytest.fixture(scope="module")
+def three_phases(tmp_path_factory):
+    # A 3-phase dataset and its policies at --window 3 and 5.
+    root = tmp_path_factory.mktemp("three_phases")
+    _synth(root / "data", count=5, phases=3)
+    for window in (3, 5):
+        for phase in range(3):
+            assert main(["train", "--phase", str(phase), "--phases", "3",
+                         "--features-dir", str(root / "data"), "--labels-dir", str(root / "data"),
+                         "--checkpoints-dir", str(root / f"ckpt{window}"), "--seed", "3",
+                         *TINY_TRAIN, "--window", str(window)]) == 0
+    return root
+
+
+class TestInferWorkers:
+    # infer splits its searches by policy over min(usable CPUs, phases)
+    # processes; two CPUs are faked so that these tests fork anywhere.
+
+    def _infer(self, root, window, out, monkeypatch, cpus=2):
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+        return main(["infer", "--phases", "3", "--features-dir", str(root / "data"),
+                     "--checkpoints-dir", str(root / f"ckpt{window}"), "--out-dir", str(out)])
+
+    def _assert_no_children(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_outputs_match_one_process(self, three_phases, tmp_path, monkeypatch, window):
+        started = []
+        real = inference._start_worker
+
+        def start(searches, max_steps):
+            started.append({id(policy) for policy, _, _ in searches})
+            return real(searches, max_steps)
+
+        monkeypatch.setattr(inference, "_start_worker", start)
+        assert self._infer(three_phases, window, tmp_path / "one", monkeypatch, cpus=1) == 0
+        assert not started
+        assert self._infer(three_phases, window, tmp_path / "two", monkeypatch) == 0
+        assert [len(policies) for policies in started] == [1]  # phase 1's, in the worker
+        self._assert_no_children()
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert len(names) == 2 * 5
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_worker_error_is_data_error(self, three_phases, tmp_path, monkeypatch, capfd):
+        parent, real = os.getpid(), inference.rollout_many
+
+        def rollout_many(searches, max_steps):
+            if os.getpid() != parent:
+                raise PhaseseekError("worker shard failed")
+            return real(searches, max_steps)
+
+        monkeypatch.setattr(inference, "rollout_many", rollout_many)
+        assert self._infer(three_phases, 3, tmp_path / "out", monkeypatch) == 2
+        err = capfd.readouterr().err
+        assert "error: worker shard failed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        self._assert_no_children()
+
+    def test_killed_worker_is_reported(self, three_phases, tmp_path, monkeypatch, capfd):
+        parent, real = os.getpid(), inference.rollout_many
+
+        def rollout_many(searches, max_steps):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+            return real(searches, max_steps)
+
+        monkeypatch.setattr(inference, "rollout_many", rollout_many)
+        assert self._infer(three_phases, 3, tmp_path / "out", monkeypatch) == 2
+        err = capfd.readouterr().err
+        assert f"exit code {-signal.SIGKILL}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        self._assert_no_children()
+
+    def test_parent_error_reaps_worker(self, three_phases, tmp_path, monkeypatch):
+        parent, real = os.getpid(), inference.rollout_many
+
+        def rollout_many(searches, max_steps):
+            if os.getpid() != parent:
+                time.sleep(60)  # still running when the parent's shard fails
+                return real(searches, max_steps)
+            raise RuntimeError("parent shard failed")
+
+        monkeypatch.setattr(inference, "rollout_many", rollout_many)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent shard failed"):
+            self._infer(three_phases, 3, tmp_path / "out", monkeypatch)
+        assert time.monotonic() - start < 30
+        self._assert_no_children()
+
+
 def _meta_cases():
     good = {"phase": 0, "window": 3, "rho_begin": 0.0, "rho_end": 0.5, "input_dim": 6}
     yield "not_json", "{window: 3"
@@ -560,6 +660,24 @@ class TestMalformedInputs:
         meta_path = ckpt / "phase1_meta.json"
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
                                          "window": 22369621}))
+        code, err = _run(["infer", "--phases", 2, "--features-dir", data,
+                          "--checkpoints-dir", ckpt, "--out-dir", tmp_path / "out"],
+                         address_space=2 << 30)
+        assert code == 2
+        assert "phase1_meta.json" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_meta_window_group_round(self, workspace, tmp_path):
+        # One state of a 1398091-clip window fits, but the first round of
+        # eight dim-6 videos gathers 16 such states, 2 GiB: refused before
+        # allocating, naming the meta file.
+        data = tmp_path / "eight"
+        _synth(data, count=8)
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        meta_path = ckpt / "phase1_meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "window": 1398091}))
         code, err = _run(["infer", "--phases", 2, "--features-dir", data,
                           "--checkpoints-dir", ckpt, "--out-dir", tmp_path / "out"],
                          address_space=2 << 30)

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaseseek import cli
-from phaseseek.cli import _load_policy
+from phaseseek.cli import _load_policies
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import TRNF_MAGIC, load_features, load_labels
 from phaseseek.nets import CKPT_MAGIC, FC1_UNITS, NUM_ACTIONS, init_qnetwork, load_checkpoint, \
@@ -179,7 +179,7 @@ class TestMetaFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_meta_documents())
     def test_arbitrary_documents(self, raw):
-        _read(lambda path: _load_policy(path.parent, 0), raw, name="phase0_meta.json",
+        _read(lambda path: _load_policies(path.parent, [0]), raw, name="phase0_meta.json",
               setup=_phase0_checkpoints)
 
 

@@ -1,3 +1,6 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,6 +392,26 @@ class TestRolloutMany:
         for search, result in zip(searches, together):
             assert _fields(result) == _fields(rollout_many([search], max_steps=25)[0])
             assert _fields(result) == _reference_rollout(*search, 25)
+
+    def test_shards_match_one_call(self, monkeypatch):
+        # Three policies over two processes: policies 0 and 2 here, policy
+        # 1 in a worker whose results outgrow a 64 KiB pipe buffer (the
+        # zero networks walk Right for 200 rounds, reading 200+ clips).
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+        policies = [SearchPolicy(init_qnetwork(2, 3, 1, seed=4), init_qnetwork(2, 3, 1, seed=5), 3),
+                    SearchPolicy(zero_qnetwork(2, 3, 1), zero_qnetwork(2, 3, 1), 3),
+                    SearchPolicy(init_qnetwork(2, 3, 1, seed=6), init_qnetwork(2, 3, 1, seed=7), 5)]
+        rng = np.random.default_rng(9)
+        videos = [FeatureSequence(rng.normal(size=(t, 2))) for t in rng.integers(300, 600, 120)]
+        searches = [(policy, video, tuple(rng.integers(0, video.num_clips, 2).tolist()))
+                    for video in videos for policy in policies]
+        expected = rollout_many(searches, 200)
+        worker = [r for (policy, _, _), r in zip(searches, expected) if policy is policies[1]]
+        assert len(pickle.dumps((True, worker))) > 1 << 16
+        together = inference.rollout_sharded(searches, 200)
+        assert list(map(_fields, together)) == list(map(_fields, expected))
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dim_mismatch_rejected(self):
         policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)

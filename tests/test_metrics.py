@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -187,6 +190,25 @@ class TestReports:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("video,num_clips,accuracy")
         assert len(lines) == 3
+
+    def test_report_bytes_match_asdict(self, tmp_path):
+        # The records are built field by field; the files must hold the
+        # bytes that dataclasses.asdict records give.
+        reports = [evaluate_video([1, 1, 1, 1, 0, 0, 1, 1, 1, 1], [1] * 10, video="frag",
+                                  coverage=0.4),
+                   evaluate_video([1, 1, 1, 1, 1], [1, 1, 0, 1, 1], video="merge")]
+        assert reports[0].ward.fragmentations and reports[1].ward.merges
+        json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+        write_report(reports, json_path, csv_path)
+        records = [asdict(r) for r in reports]
+        expected = {"schema_version": 1, "videos": records,
+                    "aggregate": aggregate_reports(reports)}
+        assert json_path.read_text() == json.dumps(expected, indent=2) + "\n"
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, fieldnames=list(records[0])[:-1], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(records)
+        assert csv_path.read_bytes() == text.getvalue().encode("utf-8")
 
     def test_ward_tally_dataclass_defaults(self):
         assert WardTally().groundtruth_total == 0
