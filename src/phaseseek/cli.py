@@ -41,6 +41,7 @@ from .inference import (
     fit_fi,
     rollout_sharded,
     round_values,
+    shards,
     train_clip_classifier,
 )
 from .metrics import evaluate_video, write_report
@@ -181,27 +182,43 @@ def _video_stems(features_dir: Path) -> list[str]:
     return stems
 
 
-def _read_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
-    """(stems, feature paths, [PhaseLabels], feature dim) for every feature
-    file: each file's header and labels are checked, and every file must
-    have one feature dim.  No feature payload is read yet (see :func:`_load_rows`)."""
+def _read_headers(features_dir: Path, check) -> tuple[list[str], list[Path], list[int]]:
+    """(stems, feature paths, clip counts) of every feature file, in stem
+    order.  Each file's header is read, then ``check(stem, clips, dim)``
+    raises if the file does not fit, before the next file is read.  No
+    feature payload is read yet (see :func:`_load_rows`)."""
     stems = _video_stems(features_dir)
     paths = [features_dir / f"{stem}.trnf" for stem in stems]
-    labeled, dim = [], None
+    lengths = []
     for stem, path in zip(stems, paths):
+        t, d, _, _ = read_features_header(path)
+        check(stem, t, d)
+        lengths.append(t)
+    return stems, paths, lengths
+
+
+def _read_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
+    """(stems, feature paths, [PhaseLabels], feature dim) for every feature
+    file (see :func:`_read_headers`): each file's labels are checked against
+    its header, and every file must have the first file's feature dim."""
+    labeled, first = [], []  # first: the first file's (stem, dim)
+
+    def check(stem, t, d):
         label_path = labels_dir / f"{stem}.csv"
         if not label_path.exists():
             raise PhaseseekError(f"missing labels for video {stem}")
-        t, d, _, _ = read_features_header(path)
-        dim = d if dim is None else dim
         labels = load_labels(label_path, num_phases)
         if labels.num_clips != t:
             raise PhaseseekError(f"{stem}: labels cover {labels.num_clips} clips, features {t}")
-        if d != dim:
+        if not first:
+            first.extend((stem, d))
+        if d != first[1]:
             raise PhaseseekError(f"{stem}: feature dim {d} does not match "
-                                 f"feature dim {dim} of {stems[0]}")
+                                 f"feature dim {first[1]} of {first[0]}")
         labeled.append(labels)
-    return stems, paths, labeled, dim
+
+    stems, paths, _ = _read_headers(features_dir, check)
+    return stems, paths, labeled, first[1]
 
 
 def _load_rows(paths: list[Path], lengths: list[int], dim: int, pad: int):
@@ -348,12 +365,15 @@ def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
 def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dict[int, FixedInit]]:
     """Each phase's frozen policy and fixed initialization, checked against its meta JSON.
 
-    Every network loads into one stack per geometry, phases ordered by
-    window length, so the networks that ``rollout_many`` groups together
-    are consecutive stack rows, which it searches without a copy.
+    Every network loads into one stack per geometry, phases ordered shard
+    by shard as ``rollout_sharded`` deals them (see
+    :func:`~phaseseek.inference.shards`) and by window length within a
+    shard, so the networks that each shard's ``rollout_many`` groups
+    together are consecutive stack rows, which it searches without a copy.
     """
     metas = {phase: _read_meta(ckpt_dir, phase) for phase in phases}
-    order = sorted(metas, key=lambda phase: metas[phase][0])
+    order = [phase for shard in shards(list(phases))
+             for phase in sorted(shard, key=lambda phase: metas[phase][0])]
     paths = [ckpt_dir / f"phase{phase}_{role}.qnet"
              for phase in order for role in ("begin", "end")]
     nets = load_checkpoints(paths)
@@ -399,19 +419,15 @@ def cmd_infer(args) -> int:
     # so every video's header is checked before anything is allocated or
     # written.  The videos then load into one zero-padded matrix, padded
     # for the widest window, which rollout_many searches in place.
-    features_dir = Path(args.features_dir)
-    stems = _video_stems(features_dir)
-    paths = [features_dir / f"{stem}.trnf" for stem in stems]
-    dim = policies[phases[0]].begin_net.input_dim
-    lengths = []
-    for stem, path in zip(stems, paths):
-        t, d, _, _ = read_features_header(path)
+    def check(stem, t, d):
         for phase in phases:
             expected = policies[phase].begin_net.input_dim
             if d != expected:
                 raise PhaseseekError(f"{stem}: feature dim {d} does not match "
                                      f"input dim {expected} of the phase {phase} policy")
-        lengths.append(t)
+
+    stems, paths, lengths = _read_headers(Path(args.features_dir), check)
+    dim = policies[phases[0]].begin_net.input_dim
     # A window group's first search round, every network on one state per
     # video, is its largest: bound it before anything is allocated.
     for phase, values in zip(phases, round_values([policies[p] for p in phases], len(lengths))):

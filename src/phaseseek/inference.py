@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import training as _training
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
 from .nets import QNetwork, padded_rows, q_values, stack_networks, uncached_pass_values
@@ -26,6 +26,8 @@ from .training import (
     ROLE_BEGIN,
     ROLE_END,
     SearchPolicy,
+    _fork,
+    _reap,
     apply_action,
     greedy,
     pad_videos,
@@ -321,37 +323,37 @@ def rollout_many(
     return results
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def shards(policies: list) -> list[list]:
+    """``policies``, in the order their searches first appear, dealt
+    round-robin into the shards :func:`rollout_sharded` runs in one process
+    each: one shard per usable CPU and at most one per policy, or one
+    shard without ``os.fork``."""
+    count = min(_training._usable_cpus(), len(policies)) if hasattr(os, "fork") else 1
+    return [policies[i::count] for i in range(count)]
 
 
 def _start_worker(searches, max_steps: int):
     # A forked child that runs rollout_many on ``searches`` and writes the
     # pickled (True, results) or (False, exception) to a pipe; its pid and
-    # the pipe's read end.  The child never returns: it leaves by os._exit,
-    # so nothing of the parent's (buffers, exit handlers) runs twice.
+    # the pipe's read end.
     read, write = os.pipe()
+
+    def child():
+        os.close(read)
+        try:
+            outcome = (True, rollout_many(searches, max_steps))
+        except BaseException as exc:  # sent to the parent, which raises it
+            outcome = (False, exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+
     try:
-        pid = os.fork()
+        pid = _fork(child)
     except BaseException:
         os.close(read)
-        os.close(write)
         raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            try:
-                outcome = (True, rollout_many(searches, max_steps))
-            except BaseException as exc:  # sent to the parent, which raises it
-                outcome = (False, exc)
-            with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
+    finally:
+        os.close(write)
     return pid, open(read, "rb")
 
 
@@ -362,8 +364,7 @@ def rollout_sharded(
     """:func:`rollout_many`'s results, with each policy's searches run in
     one of up to one process per usable CPU.
 
-    The searches split by policy into ``min(usable CPUs, policies)``
-    shards, policies dealt round-robin in the order they first appear.
+    The searches split by policy into the :func:`shards` of their policies.
     Searches of different policies never share a network, and a state's
     Q-values do not depend on its batch companions, so each shard's
     :func:`rollout_many` gives every search the result it gets in one call.
@@ -373,28 +374,27 @@ def rollout_sharded(
     pipe's buffer), and merges the results back into input order.  An
     exception a child raised is raised here again, with its type and
     message; when this process's own shard raises, every child is killed
-    and reaped first.  Without ``os.fork``, with one usable CPU, or with
-    one policy, this is one :func:`rollout_many` call.
+    and reaped first.  With one shard, this is one :func:`rollout_many`
+    call.
     """
-    policies = list(dict.fromkeys(id(policy) for policy, _, _ in searches))
-    count = min(_usable_cpus(), len(policies)) if hasattr(os, "fork") else 1
-    if count <= 1:
+    dealt = shards(list(dict.fromkeys(id(policy) for policy, _, _ in searches)))
+    if len(dealt) <= 1:
         return rollout_many(searches, max_steps)
-    shard_of = {policy: i % count for i, policy in enumerate(policies)}
-    shards: list[list[int]] = [[] for _ in range(count)]
+    shard_of = {policy: i for i, shard in enumerate(dealt) for policy in shard}
+    parts: list[list[int]] = [[] for _ in dealt]
     for i, (policy, _, _) in enumerate(searches):
-        shards[shard_of[id(policy)]].append(i)
+        parts[shard_of[id(policy)]].append(i)
 
     workers = []  # (pid, pipe) of every child not reaped yet
     try:
-        for shard in shards[1:]:
-            workers.append(_start_worker([searches[i] for i in shard], max_steps))
-        outcomes = [(True, rollout_many([searches[i] for i in shards[0]], max_steps))]
+        for part in parts[1:]:
+            workers.append(_start_worker([searches[i] for i in part], max_steps))
+        outcomes = [(True, rollout_many([searches[i] for i in parts[0]], max_steps))]
         while workers:
             pid, pipe = workers[0]
             with pipe:
                 data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = _reap(pid)
             del workers[0]
             if code:  # the child ended before it sent all of its outcome
                 raise ChildProcessError(f"search worker {pid} ended without its results "
@@ -403,15 +403,14 @@ def rollout_sharded(
     except BaseException:
         for pid, pipe in workers:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, kill=True)
         raise
 
     results: list = [None] * len(searches)
-    for shard, (ok, value) in zip(shards, outcomes):
+    for part, (ok, value) in zip(parts, outcomes):
         if not ok:
             raise value
-        for i, result in zip(shard, value):
+        for i, result in zip(part, value):
             results[i] = result
     return results
 

@@ -17,7 +17,14 @@ against the fresh begin position).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
+import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +36,21 @@ from .nets import (
     QNetwork,
     adam_init,
     adam_step,
-    backward_stack,
+    backward_rows,
     cached_pass_values,
     clone_params,
+    copy_network,
     copy_params_into,
+    forward_rows,
     forward_stack,
     huber_loss,
     init_qnetwork,
+    new_cache,
     param_list,
     q_values,
+    recurrent_gradients,
+    splits_exactly,
+    weight_gradients,
 )
 
 logger = logging.getLogger(__name__)
@@ -242,6 +255,7 @@ def dqn_update(
     gamma: float,
     adam: AdamState,
     rng: np.random.Generator,
+    helper: _RowHelper | None = None,
 ) -> float | None:
     """One Bellman regression step; returns batch loss, or None when the
     memory holds fewer than ``batch`` records (no update performed).
@@ -249,23 +263,266 @@ def dqn_update(
     The sampled window rows are gathered from ``padded``.  The online
     network runs one cached kernel pass and its backward; the target network
     runs one uncached pass, only when ``gamma`` is not zero (at zero it may
-    be None).
+    be None).  With a ``helper`` made for these arguments, the batch runs
+    as two row parts, the second in the helper's process, which then sums
+    the recurrent weights' gradients over the batch (see
+    :class:`_RowHelper`); the other gradients' sums, the Adam step and the
+    loss run here, on the whole arrays, as without one.
     """
     if len(memory) < batch:
         return None
-    states, next_states, actions, rewards = memory.sample(batch, rng)
-    (q,), cache = forward_stack(net, padded[states][None], cache=True)
+    sample = memory.sample(batch, rng)
+    if helper is None:
+        cache, losses = new_cache(net, batch, sample[0].shape[1]), np.empty(batch)
+    else:
+        cache, losses = helper.start(net, sample)
+    _update_rows(cache, target_net, padded, sample, losses, gamma, 0)
+    grads = weight_gradients(cache) if helper is None else helper.gradients(cache)
+    adam_step(param_list(net), grads, adam)
+    return float(losses.mean())
+
+
+def _update_rows(cache, target_net, padded, sample, losses, gamma: float, part: int) -> None:
+    # Row part ``part`` of one update: the part's cached pass and Bellman
+    # targets, its rows of ``losses``, and its backward from each row's
+    # loss gradient over the whole batch.
+    rows = cache.rows(part)
+    states, next_states, actions, rewards = (field[rows] for field in sample)
+    q = forward_rows(cache, padded[states][None], part)[0]
     if gamma != 0.0:
         q_next = forward_stack(target_net, padded[next_states][None])[0]
         targets = rewards + gamma * q_next.max(axis=1)
     else:
         targets = rewards.astype(np.float64)
-    rows = np.arange(batch)
-    losses, dpred = huber_loss(q[rows, actions], targets)
-    dq = np.zeros((batch, q.shape[1]))
-    dq[rows, actions] = dpred / batch
-    adam_step(param_list(net), backward_stack(net, cache, dq[None]), adam)
-    return float(losses.mean())
+    taken = np.arange(len(q)), actions
+    losses[rows], dpred = huber_loss(q[taken], targets)
+    dq = cache.dq[0, rows]
+    dq.fill(0.0)
+    dq[taken] = dpred / len(losses)
+    backward_rows(cache, part)
+
+
+# ---------------------------------------------------------------------------
+# Forked processes
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _blas_threads() -> int | None:
+    """Threads OpenBLAS runs one product on in this process, read from the
+    library numpy loaded; None where no OpenBLAS library is mapped."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+
+def _fork(child) -> int:
+    """The pid of a forked process that runs ``child()`` and leaves by
+    ``os._exit``, with status 0 when it returns and 1 when it raises, so
+    nothing of this process's (buffers, exit handlers) runs twice."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _reap(pid: int, kill: bool = False) -> int:
+    """The exit code of child ``pid``, waited for; with ``kill``, it is sent
+    SIGKILL first."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+class _Shared:
+    # Arrays carved in order from one anonymous shared mapping of ``values``
+    # 8-byte values, which forked children share.
+    def __init__(self, values: int):
+        self._map, self._used = mmap.mmap(-1, 8 * values), 0
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        out = np.frombuffer(self._map, dtype, size, 8 * self._used).reshape(shape)
+        self._used += size
+        return out
+
+
+def _reply(out, step) -> bool:
+    # Run ``step`` and write its pickled outcome, (True, None) or (False,
+    # exception), to ``out``; whether it returned.
+    try:
+        step()
+        outcome = (True, None)
+    except BaseException as exc:  # sent to the parent, which raises it
+        outcome = (False, exc)
+    pickle.dump(outcome, out)
+    out.flush()
+    return outcome[0]
+
+
+class _RowHelper:
+    """A forked process that runs row part 1 of every update of an agent pair.
+
+    :meth:`fork` makes one before the pair's first update, when two row
+    parts are worth it and exact.  Each agent's network (and target) then
+    moves into shared memory, so this process's Adam steps and target syncs
+    reach the helper, beside one shared cached-pass block, one update's
+    sample and losses, and the recurrent weights' gradients.  Per update,
+    :meth:`start` writes the sample and sends the agent's index, and the
+    helper runs part 1 while this process runs part 0.  In
+    :meth:`gradients`, once both parts are done, the helper sums the
+    recurrent weights' gradients while this process sums the others.  An
+    exception the helper raised is raised here again, with its type and
+    message; a helper that ends without its outcome is a
+    ``ChildProcessError`` naming its exit code.  Leaving the ``with`` block
+    ends and reaps the helper; it is killed first when the block raised.
+    """
+
+    PARTS = 2
+
+    @classmethod
+    def fork(cls, slots, padded: np.ndarray, cfg: TrainConfig):
+        """A helper for ``slots``' updates, or a ``nullcontext`` when they
+        run in this process alone.  Two parts run when ``os.fork`` exists,
+        at least 2 CPUs are usable, OpenBLAS runs one thread per product
+        (with more, the two processes' BLAS threads fight over the CPUs: an
+        update took twice as long), the batch is a multiple of 8 of at most
+        256 rows (so each part is a multiple of 4 rows, the BLAS
+        micro-kernel height), and :func:`~phaseseek.nets.splits_exactly`
+        holds for the networks' geometry."""
+        batch, steps, net = cfg.batch, 2 * cfg.window_len, slots[0].net
+        if not (hasattr(os, "fork") and _usable_cpus() >= cls.PARTS
+                and batch % (4 * cls.PARTS) == 0 and batch <= 256 and _blas_threads() == 1):
+            return contextlib.nullcontext()
+        values = cached_pass_values(net.input_dim, net.hidden_dim, net.num_layers, steps, batch)
+        recurrent = [layer.w_rec.shape for layer in net.layers]
+        # The block, sample, losses and recurrent gradients.
+        room = _Shared(values + batch * (2 * steps + 3) + sum(map(math.prod, recurrent)))
+        block = room.take((values,))
+        if not splits_exactly(net, batch, steps, cls.PARTS, block):
+            return contextlib.nullcontext()
+        return cls(slots, padded, cfg, room, block, recurrent)
+
+    def __init__(self, slots, padded, cfg, room: _Shared, block: np.ndarray, recurrent):
+        batch, steps = cfg.batch, 2 * cfg.window_len
+        self._batch, self._steps, self._block = batch, steps, block
+        self._sample = [room.take((batch, steps), np.int64), room.take((batch, steps), np.int64),
+                        room.take((batch,), np.int64), room.take((batch,), np.int64)]
+        self._losses = room.take((batch,))
+        self._recurrent = [room.take(shape) for shape in recurrent]
+        held = [net for slot in slots for net in (slot.net, slot.target) if net is not None]
+        weights = _Shared(sum(p.size for net in held for p in param_list(net)))
+        for slot in slots:
+            slot.net = copy_network(slot.net, weights.take)
+            if slot.target is not None:
+                slot.target = copy_network(slot.target, weights.take)
+        self._nets = [slot.net for slot in slots]
+        self._agent = {id(net): i for i, net in enumerate(self._nets)}
+        targets = [slot.target for slot in slots]
+        commands, command_end = os.pipe()
+        reply_end, replies = os.pipe()
+        try:
+            self._pid = _fork(lambda: self._serve(commands, replies, (command_end, reply_end),
+                                                  targets, padded, cfg.gamma))
+        except BaseException:
+            os.close(command_end)
+            os.close(reply_end)
+            raise
+        finally:
+            os.close(commands)
+            os.close(replies)
+        self._commands = open(command_end, "wb", buffering=0)
+        self._replies = open(reply_end, "rb")
+
+    def _cache(self, net: QNetwork):
+        return new_cache(net, self._batch, self._steps, self.PARTS, self._block)
+
+    def _serve(self, commands: int, replies: int, ends, targets, padded, gamma: float) -> None:
+        # The helper's loop: part 1 of each update whose agent index
+        # arrives, then, once this process's part is done too, the
+        # recurrent weights' gradients, until the commands end or a step
+        # raises.  Each step's outcome is replied.  The pipes' other ends
+        # are this process's, which must not stay open here.
+        for fd in ends:
+            os.close(fd)
+        with open(commands, "rb", buffering=0) as pipe, open(replies, "wb") as out:
+            while agent := pipe.read(1):
+                cache = self._cache(self._nets[agent[0]])
+                if not (_reply(out, lambda: _update_rows(cache, targets[agent[0]], padded,
+                                                         self._sample, self._losses, gamma, 1))
+                        and pipe.read(1)
+                        and _reply(out, lambda: recurrent_gradients(cache, self._recurrent))):
+                    return
+
+    def start(self, net: QNetwork, sample):
+        """Write one update's ``sample`` for ``net`` and start the helper's
+        part; the update's shared cache and losses."""
+        for room, values in zip(self._sample, sample):
+            room[...] = values
+        self._send(self._agent[id(net)])
+        return self._cache(net), self._losses
+
+    def gradients(self, cache) -> list[np.ndarray]:
+        """The update's weight gradients, once this process's part of
+        ``cache`` is done: the helper's part is awaited, then the helper
+        sums the recurrent weights' gradients while this process sums the
+        others (see :func:`~phaseseek.nets.weight_gradients`)."""
+        self._wait()
+        self._send(0)
+        grads = weight_gradients(cache, self._recurrent)
+        self._wait()
+        return grads
+
+    def _send(self, byte: int) -> None:
+        try:
+            self._commands.write(bytes([byte]))
+        except BrokenPipeError:
+            self._lost()
+
+    def _wait(self) -> None:
+        # Return once the helper's step is done; raise what it raised.
+        try:
+            ok, value = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            self._lost()
+        if not ok:
+            raise value
+
+    def _lost(self):
+        pid, self._pid = self._pid, None
+        raise ChildProcessError(f"training helper {pid} ended without its rows "
+                                f"(exit code {_reap(pid)})") from None
+
+    def __enter__(self) -> _RowHelper:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._commands.close()
+        self._replies.close()
+        if self._pid is not None:
+            _reap(self._pid, kill=kind is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,44 +627,47 @@ def train(
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
     padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 
-    for episode in range(cfg.episodes_max):
-        eps = cfg.epsilon_at(episode)
-        for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e), base in zip(usable, starts, bases):
-            begin.gt, end.gt = gt_b, gt_e
-            begin.pos, end.pos = p0_b, p0_e
-            for slot in (begin, end):
-                slot.loss_sum, slot.loss_count = 0.0, 0
-            t = seq.num_clips
-            rows = window_rows(base + np.array([begin.pos, end.pos]), cfg.window_len)
-            for _ in range(cfg.max_steps_per_video):
-                state = padded[rows]
-                act_b = select_action(begin.net, state, eps, rng)
-                act_e = select_action(end.net, state, eps, rng)
-                new_b = apply_action(begin.pos, act_b, t, partner=end.pos, role=ROLE_BEGIN)
-                new_e = apply_action(end.pos, act_e, t, partner=new_b, role=ROLE_END)
-                next_rows = window_rows(base + np.array([new_b, new_e]), cfg.window_len)
-                for slot, action, new_pos in ((begin, act_b, new_b), (end, act_e, new_e)):
-                    reward = compute_reward(slot.pos, new_pos, slot.gt)
-                    slot.memory.push(rows, next_rows, action, reward)
-                    loss = dqn_update(slot.net, slot.target, slot.memory, padded,
-                                      cfg.batch, cfg.gamma, slot.adam, rng)
-                    if loss is not None:
-                        slot.loss_sum += loss
-                        slot.loss_count += 1
-                        slot.updates += 1
-                        if slot.target is not None and slot.updates % cfg.target_sync_period == 0:
-                            copy_params_into(slot.net, slot.target)
-                    slot.pos = new_pos
-                rows = next_rows
-            if on_video is not None:
-                on_video(TrainVideoLog(
-                    episode=episode,
-                    video=vid,
-                    begin_loss=begin.loss_sum / begin.loss_count if begin.loss_count else float("nan"),
-                    end_loss=end.loss_sum / end.loss_count if end.loss_count else float("nan"),
-                    begin_error=abs(begin.pos - gt_b),
-                    end_error=abs(end.pos - gt_e),
-                ))
+    # An update runs once a memory holds a batch.
+    with (_RowHelper.fork((begin, end), padded, cfg) if capacity >= cfg.batch
+          else contextlib.nullcontext()) as helper:
+        for episode in range(cfg.episodes_max):
+            eps = cfg.epsilon_at(episode)
+            for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e), base in zip(usable, starts, bases):
+                begin.gt, end.gt = gt_b, gt_e
+                begin.pos, end.pos = p0_b, p0_e
+                for slot in (begin, end):
+                    slot.loss_sum, slot.loss_count = 0.0, 0
+                t = seq.num_clips
+                rows = window_rows(base + np.array([begin.pos, end.pos]), cfg.window_len)
+                for _ in range(cfg.max_steps_per_video):
+                    state = padded[rows]
+                    act_b = select_action(begin.net, state, eps, rng)
+                    act_e = select_action(end.net, state, eps, rng)
+                    new_b = apply_action(begin.pos, act_b, t, partner=end.pos, role=ROLE_BEGIN)
+                    new_e = apply_action(end.pos, act_e, t, partner=new_b, role=ROLE_END)
+                    next_rows = window_rows(base + np.array([new_b, new_e]), cfg.window_len)
+                    for slot, action, new_pos in ((begin, act_b, new_b), (end, act_e, new_e)):
+                        reward = compute_reward(slot.pos, new_pos, slot.gt)
+                        slot.memory.push(rows, next_rows, action, reward)
+                        loss = dqn_update(slot.net, slot.target, slot.memory, padded,
+                                          cfg.batch, cfg.gamma, slot.adam, rng, helper)
+                        if loss is not None:
+                            slot.loss_sum += loss
+                            slot.loss_count += 1
+                            slot.updates += 1
+                            if slot.target is not None and slot.updates % cfg.target_sync_period == 0:
+                                copy_params_into(slot.net, slot.target)
+                        slot.pos = new_pos
+                    rows = next_rows
+                if on_video is not None:
+                    on_video(TrainVideoLog(
+                        episode=episode,
+                        video=vid,
+                        begin_loss=begin.loss_sum / begin.loss_count if begin.loss_count else float("nan"),
+                        end_loss=end.loss_sum / end.loss_count if end.loss_count else float("nan"),
+                        begin_error=abs(begin.pos - gt_b),
+                        end_error=abs(end.pos - gt_e),
+                    ))
 
     if begin.updates == 0:
         # Both agents push and update in step, so one check covers the pair.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phaseseek
-from phaseseek import cli, inference, training
+from phaseseek import cli, inference, nets, training
 from phaseseek.cli import main
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import load_labels
@@ -73,7 +73,7 @@ def _infer_holding(monkeypatch, argv) -> dict:
         seen["matrices"].append(padded)
         return padded, base
 
-    monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(inference, "rollout_many", rollout_many)
     monkeypatch.setattr(inference, "q_values", q_values)
     monkeypatch.setattr(inference, "pad_videos", pad_videos)
@@ -361,7 +361,7 @@ class TestInferWorkers:
     # processes; two CPUs are faked so that these tests fork anywhere.
 
     def _infer(self, root, window, out, monkeypatch, cpus=2):
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
         return main(["infer", "--phases", "3", "--features-dir", str(root / "data"),
                      "--checkpoints-dir", str(root / f"ckpt{window}"), "--out-dir", str(out)])
 
@@ -434,6 +434,101 @@ class TestInferWorkers:
         with pytest.raises(RuntimeError, match="parent shard failed"):
             self._infer(three_phases, 3, tmp_path / "out", monkeypatch)
         assert time.monotonic() - start < 30
+        self._assert_no_children()
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_each_shard_views_the_loaded_stack(self, three_phases, tmp_path, monkeypatch, window):
+        # Policies load shard by shard, so each shard's networks are
+        # consecutive rows of the loaded stack, which its search views; a
+        # copy, here or in the worker, fails the run.
+        seen, real = [], inference.stack_networks
+
+        def stack_networks(group):
+            stack = real(group)
+            if not np.shares_memory(stack.fc1_w, group[0].fc1_w):
+                raise PhaseseekError(f"{len(group)} networks copied into one stack")
+            seen.append(len(group))
+            return stack
+
+        monkeypatch.setattr(inference, "stack_networks", stack_networks)
+        assert self._infer(three_phases, window, tmp_path / "out", monkeypatch) == 0
+        assert seen == [4]  # phases 0 and 2 here; phase 1 in the worker
+        self._assert_no_children()
+
+
+@pytest.fixture
+def exact_split():
+    # TestTrainHelper's geometry: dim 6, hidden 8, 2 layers, batch 8, 2L = 6.
+    if not nets.splits_exactly(nets.init_qnetwork(6, 8, 2), 8, 6, 2):
+        pytest.skip("two row parts round differently from one on this host's BLAS")
+
+
+class TestTrainHelper:
+    # train runs each update's batch as two row parts, the second in a
+    # forked helper, where two CPUs are usable (faked here through the one
+    # training._usable_cpus), BLAS runs one thread (faked too) and two
+    # parts reproduce one exactly.
+
+    def _train(self, workspace, out, monkeypatch, *flags, cpus=2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        data = str(workspace / "data")
+        return main(["train", "--phase", "0", "--phases", "2", "--features-dir", data,
+                     "--labels-dir", data, "--checkpoints-dir", str(out), "--seed", "5",
+                     "--window", "3", "--episodes", "1", "--max-steps", "20", "--hidden", "8",
+                     "--layers", "2", "--eps-start", "0.5", *flags])
+
+    def _assert_no_children(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("gamma", [["--gamma", "0"], ["--gamma", "0.9", "--target-sync", "3"]])
+    @pytest.mark.parametrize("batch, helpers", [(8, 1), (12, 0)])
+    def test_outputs_match_one_process(self, workspace, tmp_path, monkeypatch, exact_split,
+                                       gamma, batch, helpers):
+        made, real = [], training._RowHelper.__init__
+        monkeypatch.setattr(training._RowHelper, "__init__",
+                            lambda helper, *args: made.append(helper) or real(helper, *args))
+        flags = ["--batch", str(batch), *gamma]
+        assert self._train(workspace, tmp_path / "one", monkeypatch, *flags, cpus=1) == 0
+        assert not made
+        assert self._train(workspace, tmp_path / "two", monkeypatch, *flags) == 0
+        assert len(made) == helpers  # a batch of 12 splits into parts of 6 rows: not exact
+        self._assert_no_children()
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert len(names) == 4
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_killed_helper_is_reported(self, workspace, tmp_path, monkeypatch, capfd, exact_split):
+        parent, real = os.getpid(), training._update_rows
+
+        def update_rows(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+            return real(*args)
+
+        monkeypatch.setattr(training, "_update_rows", update_rows)
+        assert self._train(workspace, tmp_path / "out", monkeypatch, "--batch", "8") == 2
+        err = capfd.readouterr().err
+        assert f"exit code {-signal.SIGKILL}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        self._assert_no_children()
+
+    def test_helper_error_is_data_error(self, workspace, tmp_path, monkeypatch, capfd,
+                                        exact_split):
+        parent, real = os.getpid(), training._update_rows
+
+        def update_rows(*args):
+            if os.getpid() != parent:
+                raise PhaseseekError("helper rows failed")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_update_rows", update_rows)
+        assert self._train(workspace, tmp_path / "out", monkeypatch, "--batch", "8") == 2
+        err = capfd.readouterr().err
+        assert "error: helper rows failed" in err and "Traceback" not in err
         self._assert_no_children()
 
 

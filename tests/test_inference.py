@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import phaseseek.inference as inference
 import phaseseek.nets as nets
+import phaseseek.training as training
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import FeatureSequence, TransitionSet
 from phaseseek.inference import (
@@ -397,7 +398,7 @@ class TestRolloutMany:
         # Three policies over two processes: policies 0 and 2 here, policy
         # 1 in a worker whose results outgrow a 64 KiB pipe buffer (the
         # zero networks walk Right for 200 rounds, reading 200+ clips).
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
         policies = [SearchPolicy(init_qnetwork(2, 3, 1, seed=4), init_qnetwork(2, 3, 1, seed=5), 3),
                     SearchPolicy(zero_qnetwork(2, 3, 1), zero_qnetwork(2, 3, 1), 3),
                     SearchPolicy(init_qnetwork(2, 3, 1, seed=6), init_qnetwork(2, 3, 1, seed=7), 5)]

@@ -8,25 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseseek import features
+from phaseseek import features, nets
 from phaseseek.errors import PhaseseekError
 from phaseseek.nets import (
     FC1_UNITS,
     adam_init,
     adam_step,
     backward,
+    backward_rows,
     backward_stack,
     cached_pass_values,
     clone_params,
     forward,
+    forward_rows,
     forward_stack,
     huber_loss,
     init_qnetwork,
     load_checkpoint,
     load_checkpoints,
+    new_cache,
     param_list,
     save_checkpoint,
+    splits_exactly,
     stack_networks,
+    weight_gradients,
     zero_qnetwork,
 )
 from reference_kernel import (
@@ -267,6 +272,57 @@ class TestBackwardStack:
         backward_stack(stack, cache, dq)
         with pytest.raises(PhaseseekError, match="consumed"):
             backward_stack(stack, cache, dq)
+
+
+class TestRowParts:
+    # A cached pass run as two row parts, as training runs it over two
+    # processes, against the one-part pass.
+
+    @pytest.mark.parametrize("geometry, batch, steps",
+                             [((16, 64, 2), 128, 10), ((3, 5, 2), 16, 6), ((6, 8, 1), 8, 10)])
+    def test_two_parts_match_one_pass(self, geometry, batch, steps):
+        net = init_qnetwork(*geometry, seed=5)
+        if not splits_exactly(net, batch, steps, 2):
+            pytest.skip("two row parts round differently from one on this host's BLAS")
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(1, batch, steps, geometry[0]))
+        dq = rng.normal(size=(1, batch, 2))
+        q, cache = forward_stack(net, x, cache=True)
+        grads = backward_stack(net, cache, dq)
+        for backward_parts in (lambda c: backward_stack(net, c, dq), self._parts_backward(dq)):
+            parts = new_cache(net, batch, steps, parts=2)
+            q_parts = [forward_rows(parts, x[:, parts.rows(p)], p) for p in (1, 0)][::-1]
+            assert np.concatenate(q_parts, axis=1).tobytes() == q.tobytes()
+            for g, g_parts in zip(grads, backward_parts(parts), strict=True):
+                assert g.tobytes() == g_parts.tobytes()
+
+    @staticmethod
+    def _parts_backward(dq):
+        # Each part's rows, the second first, then the batch sums.
+        def run(cache):
+            cache.dq[...] = dq
+            for part in (1, 0):
+                backward_rows(cache, part)
+            return weight_gradients(cache)
+        return run
+
+    def test_probe_sees_one_ulp(self, monkeypatch):
+        net = init_qnetwork(3, 5, 2, seed=1)
+        assert splits_exactly(net, 16, 6, 2)
+        real = nets.backward_rows
+
+        def off(cache, part=0):
+            real(cache, part)
+            if part == 1:
+                row = cache.dz1[0, cache.rows(1)][0]
+                row[0] = np.nextafter(row[0], np.inf)
+
+        monkeypatch.setattr(nets, "backward_rows", off)
+        assert not splits_exactly(net, 16, 6, 2)
+
+    def test_uneven_parts_rejected(self):
+        with pytest.raises(ValueError, match="12 does not split into 8"):
+            new_cache(init_qnetwork(3, 5, 1), 12, 4, parts=8)
 
 
 class TestBackward:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -516,3 +517,80 @@ class TestTrain:
             train(dataset, 1, _tiny_config(batch=steps + 1), FixedInit(0.4, 0.9))
         assert caplog.messages == [f"phase 1: no Bellman update ran: {steps} record(s) pushed "
                                    f"per agent, memory holds {steps}, batch needs {steps + 1}"]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    # Two CPUs faked through the one training._usable_cpus, and one BLAS
+    # thread, and every row helper train forks, recorded; skips where two
+    # row parts of _tiny_config's geometry (dim 4, hidden 8, 1 layer,
+    # 2L = 6, batch 8) do not reproduce one on this host's BLAS.
+    if not nets.splits_exactly(init_qnetwork(4, 8, 1), 8, 6, 2):
+        pytest.skip("two row parts round differently from one on this host's BLAS")
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+    made, real = [], training._RowHelper.__init__
+    monkeypatch.setattr(training._RowHelper, "__init__",
+                        lambda helper, *args: made.append(helper) or real(helper, *args))
+    return made
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRowHelper:
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    def test_every_update_is_one_call_here(self, monkeypatch, helpers, gamma):
+        # perfbench's UpdateCounter wraps training.dqn_update in the calling
+        # process: with the helper forked, it still sees every update.
+        calls, real = [], training.dqn_update
+
+        def counted(*args, **kwargs):
+            loss = real(*args, **kwargs)
+            if loss is not None:
+                calls.append(os.getpid())
+            return loss
+
+        monkeypatch.setattr(training, "dqn_update", counted)
+        dataset, cfg = _tiny_dataset(), _tiny_config(batch=8, gamma=gamma, target_sync_period=3)
+        train(dataset, 1, cfg, FixedInit(0.4, 0.9))
+        pushes = cfg.episodes_max * len(dataset) * cfg.max_steps_per_video
+        assert len(helpers) == 1
+        assert calls == [os.getpid()] * (2 * (pushes - cfg.batch + 1))
+        _assert_no_children()
+
+    def test_helper_error_comes_back(self, monkeypatch, helpers):
+        parent, real = os.getpid(), training._update_rows
+
+        def update_rows(*args):
+            if os.getpid() != parent:
+                raise ArithmeticError("part 1 failed")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_update_rows", update_rows)
+        with pytest.raises(ArithmeticError, match="part 1 failed"):
+            train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
+        assert len(helpers) == 1
+        _assert_no_children()
+
+    def test_error_here_reaps_helper(self, monkeypatch, helpers):
+        # This process's part fails while the helper runs its own.
+        parent, real = os.getpid(), training._update_rows
+
+        def update_rows(*args):
+            if os.getpid() == parent:
+                raise LookupError("part 0 failed")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_update_rows", update_rows)
+        with pytest.raises(LookupError, match="part 0 failed"):
+            train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
+        assert len(helpers) == 1
+        _assert_no_children()
+
+    def test_no_helper_without_an_update(self, helpers):
+        cfg = _tiny_config(batch=8, memory_capacity=7)  # a memory never holds a batch
+        train(_tiny_dataset(), 1, cfg, FixedInit(0.4, 0.9))
+        assert helpers == []
