@@ -401,6 +401,10 @@ class _RowHelper:
     """
 
     PARTS = 2
+    # splits_exactly's answer per (input dim, hidden dim, layers, batch,
+    # steps): a BLAS picks its kernels by the products' shapes, so the
+    # probe runs once per geometry in a process.
+    _exact: dict[tuple[int, ...], bool] = {}
 
     @classmethod
     def fork(cls, slots, padded: np.ndarray, cfg: TrainConfig):
@@ -411,7 +415,7 @@ class _RowHelper:
         update took twice as long), the batch is a multiple of 8 of at most
         256 rows (so each part is a multiple of 4 rows, the BLAS
         micro-kernel height), and :func:`~phaseseek.nets.splits_exactly`
-        holds for the networks' geometry."""
+        holds for the networks' geometry (probed once per geometry)."""
         batch, steps, net = cfg.batch, 2 * cfg.window_len, slots[0].net
         if not (hasattr(os, "fork") and _usable_cpus() >= cls.PARTS
                 and batch % (4 * cls.PARTS) == 0 and batch <= 256 and _blas_threads() == 1):
@@ -421,7 +425,10 @@ class _RowHelper:
         # The block, sample, losses and recurrent gradients.
         room = _Shared(values + batch * (2 * steps + 3) + sum(map(math.prod, recurrent)))
         block = room.take((values,))
-        if not splits_exactly(net, batch, steps, cls.PARTS, block):
+        geometry = (net.input_dim, net.hidden_dim, net.num_layers, batch, steps)
+        if geometry not in cls._exact:
+            cls._exact[geometry] = splits_exactly(net, batch, steps, cls.PARTS, block)
+        if not cls._exact[geometry]:
             return contextlib.nullcontext()
         return cls(slots, padded, cfg, room, block, recurrent)
 

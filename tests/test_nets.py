@@ -28,6 +28,7 @@ from phaseseek.nets import (
     load_checkpoints,
     new_cache,
     param_list,
+    recurrent_gradients,
     save_checkpoint,
     splits_exactly,
     stack_networks,
@@ -298,12 +299,15 @@ class TestRowParts:
 
     @staticmethod
     def _parts_backward(dq):
-        # Each part's rows, the second first, then the batch sums.
+        # Each part's rows, the second first, then the batch sums, the
+        # recurrent weights' apart, as the training helper computes them.
         def run(cache):
             cache.dq[...] = dq
             for part in (1, 0):
                 backward_rows(cache, part)
-            return weight_gradients(cache)
+            recurrent = [np.full(layer.w_rec.shape, np.nan) for layer in cache.stack.layers]
+            recurrent_gradients(cache, recurrent)
+            return weight_gradients(cache, recurrent)
         return run
 
     def test_probe_sees_one_ulp(self, monkeypatch):
