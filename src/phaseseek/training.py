@@ -409,15 +409,17 @@ class _RowHelper:
     @classmethod
     def fork(cls, slots, padded: np.ndarray, cfg: TrainConfig):
         """A helper for ``slots``' updates, or a ``nullcontext`` when they
-        run in this process alone.  Two parts run when ``os.fork`` exists,
-        at least 2 CPUs are usable, OpenBLAS runs one thread per product
-        (with more, the two processes' BLAS threads fight over the CPUs: an
-        update took twice as long), the batch is a multiple of 8 of at most
-        256 rows (so each part is a multiple of 4 rows, the BLAS
-        micro-kernel height), and :func:`~phaseseek.nets.splits_exactly`
-        holds for the networks' geometry (probed once per geometry)."""
+        run in this process alone.  Two parts run when an update will run
+        (a memory can hold a batch), ``os.fork`` exists, at least 2 CPUs
+        are usable, OpenBLAS runs one thread per product (with more, the
+        two processes' BLAS threads fight over the CPUs: an update took
+        twice as long), the batch is a multiple of 8 of at most 256 rows
+        (so each part is a multiple of 4 rows, the BLAS micro-kernel
+        height), and :func:`~phaseseek.nets.splits_exactly` holds for the
+        networks' geometry (probed once per geometry)."""
         batch, steps, net = cfg.batch, 2 * cfg.window_len, slots[0].net
-        if not (hasattr(os, "fork") and _usable_cpus() >= cls.PARTS
+        if not (slots[0].memory.capacity >= batch and hasattr(os, "fork")
+                and _usable_cpus() >= cls.PARTS
                 and batch % (4 * cls.PARTS) == 0 and batch <= 256 and _blas_threads() == 1):
             return contextlib.nullcontext()
         values = cached_pass_values(net.input_dim, net.hidden_dim, net.num_layers, steps, batch)
@@ -634,9 +636,7 @@ def train(
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
     padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 
-    # An update runs once a memory holds a batch.
-    with (_RowHelper.fork((begin, end), padded, cfg) if capacity >= cfg.batch
-          else contextlib.nullcontext()) as helper:
+    with _RowHelper.fork((begin, end), padded, cfg) as helper:
         for episode in range(cfg.episodes_max):
             eps = cfg.epsilon_at(episode)
             for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e), base in zip(usable, starts, bases):

@@ -561,15 +561,17 @@ class TestRowHelper:
         assert calls == [os.getpid()] * (2 * (pushes - cfg.batch + 1))
         _assert_no_children()
 
-    def test_helper_error_comes_back(self, monkeypatch, helpers):
-        parent, real = os.getpid(), training._update_rows
+    @pytest.mark.parametrize("step", ["_update_rows", "recurrent_gradients"])
+    def test_helper_error_comes_back(self, monkeypatch, helpers, step):
+        # The helper's rows fail, or its share of the batch sums.
+        parent, real = os.getpid(), getattr(training, step)
 
-        def update_rows(*args):
+        def failing(*args):
             if os.getpid() != parent:
                 raise ArithmeticError("part 1 failed")
             return real(*args)
 
-        monkeypatch.setattr(training, "_update_rows", update_rows)
+        monkeypatch.setattr(training, step, failing)
         with pytest.raises(ArithmeticError, match="part 1 failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
