@@ -643,8 +643,8 @@ def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[n
 def splits_exactly(stack: QNetwork, batch: int, steps: int, parts: int,
                    block: np.ndarray | None = None) -> bool:
     """Whether a pass of ``stack`` on ``batch`` states of ``steps`` steps,
-    run as ``parts`` row parts, reproduces the one-part pass bit for bit on
-    this host's BLAS: the Q-values, everything :func:`backward_rows` leaves
+    run as ``parts`` row parts, reproduces the one-part pass bit for bit with
+    the BLAS in use: the Q-values, everything :func:`backward_rows` leaves
     in the cache, and an uncached pass per part.  A BLAS may pick a
     product's kernel by its shape, and its kernels round differently, so a
     row's values can depend on the rows that share its product (OpenBLAS

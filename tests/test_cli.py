@@ -460,7 +460,7 @@ class TestInferWorkers:
 def exact_split():
     # TestTrainHelper's geometry: dim 6, hidden 8, 2 layers, batch 8, 2L = 6.
     if not nets.splits_exactly(nets.init_qnetwork(6, 8, 2), 8, 6, 2):
-        pytest.skip("two row parts round differently from one on this host's BLAS")
+        pytest.skip("two row parts round differently from one with the BLAS in use")
 
 
 class TestTrainHelper:

@@ -284,7 +284,7 @@ class TestRowParts:
     def test_two_parts_match_one_pass(self, geometry, batch, steps):
         net = init_qnetwork(*geometry, seed=5)
         if not splits_exactly(net, batch, steps, 2):
-            pytest.skip("two row parts round differently from one on this host's BLAS")
+            pytest.skip("two row parts round differently from one with the BLAS in use")
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, batch, steps, geometry[0]))
         dq = rng.normal(size=(1, batch, 2))

@@ -524,9 +524,9 @@ def helpers(monkeypatch):
     # Two CPUs faked through the one training._usable_cpus, and one BLAS
     # thread, and every row helper train forks, recorded; skips where two
     # row parts of _tiny_config's geometry (dim 4, hidden 8, 1 layer,
-    # 2L = 6, batch 8) do not reproduce one on this host's BLAS.
+    # 2L = 6, batch 8) do not reproduce one with the BLAS in use.
     if not nets.splits_exactly(init_qnetwork(4, 8, 1), 8, 6, 2):
-        pytest.skip("two row parts round differently from one on this host's BLAS")
+        pytest.skip("two row parts round differently from one with the BLAS in use")
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "_blas_threads", lambda: 1)
     made, real = [], training._RowHelper.__init__
