@@ -21,10 +21,10 @@ import numpy as np
 from .compose import gaussian_compose
 from .errors import PhaseseekError
 from .features import (
-    MAX_VALUES,
     PhaseLabels,
     SynthConfig,
     TransitionSet,
+    check_values,
     labels_to_transitions,
     load_features,
     load_labels,
@@ -251,10 +251,6 @@ def cmd_synth(args) -> int:
     if args.count < 0:
         raise UsageError("--count must be >= 0")
     cfg = _config(SynthConfig, _SYNTH_FLAGS, args)
-    values = cfg.num_phases * cfg.max_len * cfg.dim
-    if values > MAX_VALUES:
-        raise UsageError(f"--phases x --max-len x --dim is {values} feature values per video, "
-                         f"above the limit of {MAX_VALUES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (seq, labels) in enumerate(synth_dataset(cfg, args.count, args.seed)):
@@ -431,12 +427,11 @@ def cmd_infer(args) -> int:
     # A window group's first search round, every network on one state per
     # video, is its largest: bound it before anything is allocated.
     for phase, values in zip(phases, round_values([policies[p] for p in phases], len(lengths))):
-        if values > MAX_VALUES:
-            window = policies[phase].window_len
-            raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: the states of {len(lengths)} "
-                                 f"video(s), 2 x window {window} rows of dim {dim} each, need "
-                                 f"{values} values in one search round, above the limit of "
-                                 f"{MAX_VALUES}")
+        try:
+            check_values(values, f"one search round over the states of {len(lengths)} video(s), "
+                                 f"2 x window {policies[phase].window_len} rows of dim {dim} each")
+        except ValueError as exc:
+            raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: {exc}") from exc
     # Every phase searches every video, so the widest window's padding is the largest.
     widest = max(phases, key=lambda phase: policies[phase].window_len)
     try:
@@ -565,9 +560,10 @@ def cmd_ribbon(args) -> int:
     sequences = [load_labels(path).labels for path in args.labels]
     width = max(len(s) for s in sequences)
     height = args.band_height * len(sequences)
-    if width * height > MAX_VALUES:
-        raise UsageError(f"--band-height: a {width}x{height} ribbon has {width * height} "
-                         f"pixels, above the limit of {MAX_VALUES}")
+    try:
+        check_values(width * height, f"the pixels of a {width}x{height} ribbon")
+    except ValueError as exc:
+        raise UsageError(f"--band-height: {exc}") from exc
     # One band's row text at a time, written --band-height times.
     with open(args.out, "wb") as fh:
         fh.write(f"P3\n{width} {height}\n255\n".encode())

@@ -42,6 +42,12 @@ MAX_NOISE_SIGMA = 1e37
 MAX_VALUES = 2**27
 
 
+def check_values(values: int, what: str) -> None:
+    """Raise ``ValueError`` when ``what`` holds more than ``MAX_VALUES`` values."""
+    if values > MAX_VALUES:
+        raise ValueError(f"{what}: {values} values, above the limit of {MAX_VALUES}")
+
+
 @dataclass
 class FeatureSequence:
     """A ``T x D`` matrix of clip features plus sampling metadata.
@@ -154,7 +160,8 @@ class SynthConfig:
     ``blend_width`` clips of each block boundary.  ``dropout_prob`` is the
     per-phase probability of omitting that phase from a video entirely.
     ``noise_sigma`` is at most ``MAX_NOISE_SIGMA``, so every feature fits a
-    float32 in the .trnf file.
+    float32 in the .trnf file.  One video's ``num_phases x max_len x dim``
+    feature values are at most ``MAX_VALUES``.
     """
 
     num_phases: int
@@ -174,6 +181,9 @@ class SynthConfig:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        check_values(self.num_phases * self.max_len * self.dim,
+                     f"one video's features at num_phases {self.num_phases}, "
+                     f"max_len {self.max_len} and dim {self.dim}")
         if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
             raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
         if self.blend_width < 0:

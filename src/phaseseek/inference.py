@@ -11,23 +11,20 @@ coverage is total.
 
 from __future__ import annotations
 
-import os
-import pickle
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import training as _training
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
 from .nets import QNetwork, padded_rows, q_values, stack_networks, uncached_pass_values
+from .procs import Worker, processes
 from .training import (
     ROLE_BEGIN,
     ROLE_END,
     SearchPolicy,
-    _fork,
-    _reap,
     apply_action,
     greedy,
     pad_videos,
@@ -326,35 +323,9 @@ def rollout_many(
 def shards(policies: list) -> list[list]:
     """``policies``, in the order their searches first appear, dealt
     round-robin into the shards :func:`rollout_sharded` runs in one process
-    each: one shard per usable CPU and at most one per policy, or one
-    shard without ``os.fork``."""
-    count = min(_training._usable_cpus(), len(policies)) if hasattr(os, "fork") else 1
+    each, as many as :func:`~phaseseek.procs.processes` allows."""
+    count = processes(len(policies))
     return [policies[i::count] for i in range(count)]
-
-
-def _start_worker(searches, max_steps: int):
-    # A forked child that runs rollout_many on ``searches`` and writes the
-    # pickled (True, results) or (False, exception) to a pipe; its pid and
-    # the pipe's read end.
-    read, write = os.pipe()
-
-    def child():
-        os.close(read)
-        try:
-            outcome = (True, rollout_many(searches, max_steps))
-        except BaseException as exc:  # sent to the parent, which raises it
-            outcome = (False, exc)
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-
-    try:
-        pid = _fork(child)
-    except BaseException:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    return pid, open(read, "rb")
 
 
 def rollout_sharded(
@@ -368,14 +339,12 @@ def rollout_sharded(
     Searches of different policies never share a network, and a state's
     Q-values do not depend on its batch companions, so each shard's
     :func:`rollout_many` gives every search the result it gets in one call.
-    Each shard after the first runs in a forked child, which sends its
-    results through a pipe; this process runs the first shard, reads every
-    pipe to its end before reaping its child (a result can outgrow the
-    pipe's buffer), and merges the results back into input order.  An
-    exception a child raised is raised here again, with its type and
-    message; when this process's own shard raises, every child is killed
-    and reaped first.  With one shard, this is one :func:`rollout_many`
-    call.
+    Each shard after the first runs in a forked
+    :class:`~phaseseek.procs.Worker`, whose one answer is its results; this
+    process runs the first shard and merges the results back into input
+    order.  An exception a worker raised is raised here again, with its
+    type and message; when anything raises, every worker is killed and
+    reaped.  With one shard, this is one :func:`rollout_many` call.
     """
     dealt = shards(list(dict.fromkeys(id(policy) for policy, _, _ in searches)))
     if len(dealt) <= 1:
@@ -385,31 +354,17 @@ def rollout_sharded(
     for i, (policy, _, _) in enumerate(searches):
         parts[shard_of[id(policy)]].append(i)
 
-    workers = []  # (pid, pipe) of every child not reaped yet
-    try:
-        for part in parts[1:]:
-            workers.append(_start_worker([searches[i] for i in part], max_steps))
-        outcomes = [(True, rollout_many([searches[i] for i in parts[0]], max_steps))]
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                data = pipe.read()
-            code = _reap(pid)
-            del workers[0]
-            if code:  # the child ended before it sent all of its outcome
-                raise ChildProcessError(f"search worker {pid} ended without its results "
-                                        f"(exit code {code})")
-            outcomes.append(pickle.loads(data))
-    except BaseException:
-        for pid, pipe in workers:
-            pipe.close()
-            _reap(pid, kill=True)
-        raise
+    def run(part):
+        return rollout_many([searches[i] for i in part], max_steps)
 
+    with ExitStack() as stack:
+        workers = [stack.enter_context(Worker("search worker", lambda _, part=part: run(part)))
+                   for part in parts[1:]]
+        for worker in workers:
+            worker.send(0)
+        outcomes = [run(parts[0])] + [worker.result() for worker in workers]
     results: list = [None] * len(searches)
-    for part, (ok, value) in zip(parts, outcomes):
-        if not ok:
-            raise value
+    for part, value in zip(parts, outcomes):
         for i, result in zip(part, value):
             results[i] = result
     return results

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import MAX_VALUES, whole_rows, write_atomic
+from .features import check_values, whole_rows, write_atomic
 
 FC1_UNITS = 50
 NUM_ACTIONS = 2
@@ -165,10 +165,9 @@ def init_qnetwork(
     Refuses dims whose weights would exceed ``MAX_VALUES`` values."""
     if min(input_dim, hidden_dim, num_layers) < 1:
         raise ValueError("input_dim, hidden_dim and num_layers must be >= 1")
-    values = _param_count(input_dim, hidden_dim, num_layers)
-    if values > MAX_VALUES:
-        raise ValueError(f"input_dim {input_dim}, hidden_dim {hidden_dim} and num_layers "
-                         f"{num_layers} make {values} weights, above the limit of {MAX_VALUES}")
+    check_values(_param_count(input_dim, hidden_dim, num_layers),
+                 f"the weights of input_dim {input_dim}, hidden_dim {hidden_dim} and "
+                 f"num_layers {num_layers}")
     rng = np.random.default_rng(seed)
     params = []
     for shape in _file_shapes(input_dim, hidden_dim, num_layers):

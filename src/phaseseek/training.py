@@ -22,15 +22,12 @@ import ctypes
 import logging
 import math
 import mmap
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import MAX_VALUES, FeatureSequence, TransitionSet, whole_rows
+from .features import FeatureSequence, TransitionSet, check_values, whole_rows
 from .nets import (
     AdamState,
     QNetwork,
@@ -52,6 +49,7 @@ from .nets import (
     splits_exactly,
     weight_gradients,
 )
+from .procs import Worker, processes
 
 logger = logging.getLogger(__name__)
 
@@ -166,11 +164,9 @@ def zero_padded(lengths: list[int], dim: int, pad: int) -> tuple[np.ndarray, np.
     up to ``2 * pad + 1`` clips centered on a clip then read only that
     video's clips and zero rows.  Refuses zero padding of more than
     ``MAX_VALUES`` values before allocating."""
-    zeros = (len(lengths) + 1) * pad * dim
-    if zeros > MAX_VALUES:
-        raise ValueError(f"windows of window_len {2 * pad + 1} need {zeros} zero padding "
-                         f"values around {len(lengths)} video(s) of dim {dim}, "
-                         f"above the limit of {MAX_VALUES}")
+    check_values((len(lengths) + 1) * pad * dim,
+                 f"the zero padding of windows of window_len {2 * pad + 1} around "
+                 f"{len(lengths)} video(s) of dim {dim}")
     base = np.cumsum([pad] + [t + pad for t in lengths[:-1]])
     return np.zeros((base[-1] + lengths[-1] + pad, dim)), base
 
@@ -306,11 +302,6 @@ def _update_rows(cache, target_net, padded, sample, losses, gamma: float, part: 
 # Forked processes
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _blas_threads() -> int | None:
     """Threads OpenBLAS runs one product on in this process, read from the
     library numpy loaded; None where no OpenBLAS library is mapped."""
@@ -333,29 +324,6 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _fork(child) -> int:
-    """The pid of a forked process that runs ``child()`` and leaves by
-    ``os._exit``, with status 0 when it returns and 1 when it raises, so
-    nothing of this process's (buffers, exit handlers) runs twice."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            child()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
-def _reap(pid: int, kill: bool = False) -> int:
-    """The exit code of child ``pid``, waited for; with ``kill``, it is sent
-    SIGKILL first."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
 class _Shared:
     # Arrays carved in order from one anonymous shared mapping of ``values``
     # 8-byte values, which forked children share.
@@ -369,38 +337,23 @@ class _Shared:
         return out
 
 
-def _reply(out, step) -> bool:
-    # Run ``step`` and write its pickled outcome, (True, None) or (False,
-    # exception), to ``out``; whether it returned.
-    try:
-        step()
-        outcome = (True, None)
-    except BaseException as exc:  # sent to the parent, which raises it
-        outcome = (False, exc)
-    pickle.dump(outcome, out)
-    out.flush()
-    return outcome[0]
-
-
-class _RowHelper:
-    """A forked process that runs row part 1 of every update of an agent pair.
+class _RowHelper(Worker):
+    """A :class:`~phaseseek.procs.Worker` that runs row part 1 of every
+    update of an agent pair.
 
     :meth:`fork` makes one before the pair's first update, when two row
     parts are worth it and exact.  Each agent's network (and target) then
     moves into shared memory, so this process's Adam steps and target syncs
     reach the helper, beside one shared cached-pass block, one update's
     sample and losses, and the recurrent weights' gradients.  Per update,
-    :meth:`start` writes the sample and sends the agent's index, and the
-    helper runs part 1 while this process runs part 0.  In
-    :meth:`gradients`, once both parts are done, the helper sums the
-    recurrent weights' gradients while this process sums the others.  An
-    exception the helper raised is raised here again, with its type and
-    message; a helper that ends without its outcome is a
-    ``ChildProcessError`` naming its exit code.  Leaving the ``with`` block
-    ends and reaps the helper; it is killed first when the block raised.
+    :meth:`start` writes the sample and requests agent i's part, which the
+    helper runs while this process runs part 0.  In :meth:`gradients`, once
+    both parts are done, the helper sums the recurrent weights' gradients
+    (request ``SUMS``) while this process sums the others.
     """
 
     PARTS = 2
+    SUMS = 255
     # splits_exactly's answer per (input dim, hidden dim, layers, batch,
     # steps): a BLAS picks its kernels by the products' shapes, so the
     # probe runs once per geometry in a process.
@@ -410,16 +363,15 @@ class _RowHelper:
     def fork(cls, slots, padded: np.ndarray, cfg: TrainConfig):
         """A helper for ``slots``' updates, or a ``nullcontext`` when they
         run in this process alone.  Two parts run when an update will run
-        (a memory can hold a batch), ``os.fork`` exists, at least 2 CPUs
-        are usable, OpenBLAS runs one thread per product (with more, the
+        (a memory can hold a batch), :func:`~phaseseek.procs.processes`
+        allows two, OpenBLAS runs one thread per product (with more, the
         two processes' BLAS threads fight over the CPUs: an update took
         twice as long), the batch is a multiple of 8 of at most 256 rows
         (so each part is a multiple of 4 rows, the BLAS micro-kernel
         height), and :func:`~phaseseek.nets.splits_exactly` holds for the
         networks' geometry (probed once per geometry)."""
         batch, steps, net = cfg.batch, 2 * cfg.window_len, slots[0].net
-        if not (slots[0].memory.capacity >= batch and hasattr(os, "fork")
-                and _usable_cpus() >= cls.PARTS
+        if not (slots[0].memory.capacity >= batch and processes(cls.PARTS) == cls.PARTS
                 and batch % (4 * cls.PARTS) == 0 and batch <= 256 and _blas_threads() == 1):
             return contextlib.nullcontext()
         values = cached_pass_values(net.input_dim, net.hidden_dim, net.num_layers, steps, batch)
@@ -450,47 +402,25 @@ class _RowHelper:
         self._nets = [slot.net for slot in slots]
         self._agent = {id(net): i for i, net in enumerate(self._nets)}
         targets = [slot.target for slot in slots]
-        commands, command_end = os.pipe()
-        reply_end, replies = os.pipe()
-        try:
-            self._pid = _fork(lambda: self._serve(commands, replies, (command_end, reply_end),
-                                                  targets, padded, cfg.gamma))
-        except BaseException:
-            os.close(command_end)
-            os.close(reply_end)
-            raise
-        finally:
-            os.close(commands)
-            os.close(replies)
-        self._commands = open(command_end, "wb", buffering=0)
-        self._replies = open(reply_end, "rb")
+
+        def serve(request: int) -> None:  # in the helper, whose self this changes
+            if request == self.SUMS:
+                return recurrent_gradients(self._part, self._recurrent)
+            self._part = self._cache(self._nets[request])
+            _update_rows(self._part, targets[request], padded, self._sample, self._losses,
+                         cfg.gamma, 1)
+
+        super().__init__("training helper", serve)
 
     def _cache(self, net: QNetwork):
         return new_cache(net, self._batch, self._steps, self.PARTS, self._block)
-
-    def _serve(self, commands: int, replies: int, ends, targets, padded, gamma: float) -> None:
-        # The helper's loop: part 1 of each update whose agent index
-        # arrives, then, once this process's part is done too, the
-        # recurrent weights' gradients, until the commands end or a step
-        # raises.  Each step's outcome is replied.  The pipes' other ends
-        # are this process's, which must not stay open here.
-        for fd in ends:
-            os.close(fd)
-        with open(commands, "rb", buffering=0) as pipe, open(replies, "wb") as out:
-            while agent := pipe.read(1):
-                cache = self._cache(self._nets[agent[0]])
-                if not (_reply(out, lambda: _update_rows(cache, targets[agent[0]], padded,
-                                                         self._sample, self._losses, gamma, 1))
-                        and pipe.read(1)
-                        and _reply(out, lambda: recurrent_gradients(cache, self._recurrent))):
-                    return
 
     def start(self, net: QNetwork, sample):
         """Write one update's ``sample`` for ``net`` and start the helper's
         part; the update's shared cache and losses."""
         for room, values in zip(self._sample, sample):
             room[...] = values
-        self._send(self._agent[id(net)])
+        self.send(self._agent[id(net)])
         return self._cache(net), self._losses
 
     def gradients(self, cache) -> list[np.ndarray]:
@@ -498,40 +428,11 @@ class _RowHelper:
         ``cache`` is done: the helper's part is awaited, then the helper
         sums the recurrent weights' gradients while this process sums the
         others (see :func:`~phaseseek.nets.weight_gradients`)."""
-        self._wait()
-        self._send(0)
+        self.result()
+        self.send(self.SUMS)
         grads = weight_gradients(cache, self._recurrent)
-        self._wait()
+        self.result()
         return grads
-
-    def _send(self, byte: int) -> None:
-        try:
-            self._commands.write(bytes([byte]))
-        except BrokenPipeError:
-            self._lost()
-
-    def _wait(self) -> None:
-        # Return once the helper's step is done; raise what it raised.
-        try:
-            ok, value = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):
-            self._lost()
-        if not ok:
-            raise value
-
-    def _lost(self):
-        pid, self._pid = self._pid, None
-        raise ChildProcessError(f"training helper {pid} ended without its rows "
-                                f"(exit code {_reap(pid)})") from None
-
-    def __enter__(self) -> _RowHelper:
-        return self
-
-    def __exit__(self, kind, exc, tb) -> None:
-        self._commands.close()
-        self._replies.close()
-        if self._pid is not None:
-            _reap(self._pid, kill=kind is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +478,11 @@ def check_update_size(cfg: TrainConfig, dim: int) -> None:
     :func:`~phaseseek.nets.cached_pass_values`), the largest array of a run,
     would exceed ``MAX_VALUES`` values; a greedy step pads its one state to
     4 rows."""
-    values = cached_pass_values(dim, cfg.hidden_dim, cfg.num_layers, 2 * cfg.window_len,
-                                max(cfg.batch, 4))
-    if values > MAX_VALUES:
-        raise ValueError(f"a batch of {cfg.batch} states of 2 x window_len {cfg.window_len} "
-                         f"rows of dim {dim} needs {values} values in one cached kernel pass "
-                         f"at hidden_dim {cfg.hidden_dim} and num_layers {cfg.num_layers}, "
-                         f"above the limit of {MAX_VALUES}")
+    check_values(cached_pass_values(dim, cfg.hidden_dim, cfg.num_layers, 2 * cfg.window_len,
+                                    max(cfg.batch, 4)),
+                 f"one cached kernel pass over a batch of {cfg.batch} states of 2 x window_len "
+                 f"{cfg.window_len} rows of dim {dim} at hidden_dim {cfg.hidden_dim} and "
+                 f"num_layers {cfg.num_layers}")
 
 
 def train(
@@ -606,16 +505,21 @@ def train(
     inference module); its ``initial_positions(video, phase)`` hook is used
     exactly as at inference time.  ``on_video`` receives a
     :class:`TrainVideoLog` after each video.  Deterministic for a fixed
-    (dataset, cfg, init).  Raises ``ValueError``, before allocating, when
-    one update's cached kernel pass (see :func:`check_update_size`) or the
+    (dataset, cfg, init).  Raises, before allocating, ``PhaseseekError``
+    when a video's feature dim is not the first video's, and ``ValueError``
+    when one update's cached kernel pass (see :func:`check_update_size`) or the
     window padding would exceed ``MAX_VALUES`` values.  Videos that already
     are whole rows of one zero-padded matrix (see :func:`pad_videos`) are
     trained on in place.
     """
     if not dataset:
         raise PhaseseekError("empty training dataset")
+    dim = dataset[0][0].dim
     usable = []
     for vid, (seq, ts) in enumerate(dataset):
+        if seq.dim != dim:
+            raise PhaseseekError(f"video {vid}: feature dim {seq.dim} does not match "
+                                 f"feature dim {dim} of video 0")
         pair = ts.get(phase)
         if pair is None:
             logger.warning("video %d does not contain phase %d; skipped", vid, phase)
@@ -624,7 +528,6 @@ def train(
     if not usable:
         raise PhaseseekError(f"phase {phase} absent from every training video")
 
-    dim = usable[0][1].dim
     check_update_size(cfg, dim)
     rng = np.random.default_rng(cfg.seed)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=2)

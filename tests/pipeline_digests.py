@@ -12,6 +12,12 @@ checkouts can be compared with ``diff``::
 ``--gamma`` (default 0.9) sets the training discount: at 0 the agents
 train without a target network, at any other value with one.
 Pytest does not collect this file.  It takes about 15 s on one core.
+
+The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, so on two or
+more usable CPUs the forked processes run: ``train``'s row helper (where
+two row parts reproduce one exactly for the run's geometry) and
+``infer``'s search worker.  Under ``taskset -c 0`` everything runs in one
+process, and the digests must not change.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-from phaseseek.cli import main
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, so train may fork its helper
+
+from phaseseek.cli import main  # noqa: E402
 
 PHASES = 3
 TRAIN = ["--episodes", "3", "--max-steps", "60", "--batch", "16", "--hidden", "8",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phaseseek
-from phaseseek import cli, inference, nets, training
+from phaseseek import cli, inference, nets, procs, training
 from phaseseek.cli import main
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import load_labels
@@ -73,7 +73,7 @@ def _infer_holding(monkeypatch, argv) -> dict:
         seen["matrices"].append(padded)
         return padded, base
 
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 1)
     monkeypatch.setattr(inference, "rollout_many", rollout_many)
     monkeypatch.setattr(inference, "q_values", q_values)
     monkeypatch.setattr(inference, "pad_videos", pad_videos)
@@ -361,36 +361,52 @@ class TestInferWorkers:
     # processes; two CPUs are faked so that these tests fork anywhere.
 
     def _infer(self, root, window, out, monkeypatch, cpus=2):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
         return main(["infer", "--phases", "3", "--features-dir", str(root / "data"),
                      "--checkpoints-dir", str(root / f"ckpt{window}"), "--out-dir", str(out)])
 
-    def _assert_no_children(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("window", [3, 5])
-    def test_outputs_match_one_process(self, three_phases, tmp_path, monkeypatch, window):
-        started = []
-        real = inference._start_worker
+    def test_outputs_match_one_process(self, three_phases, tmp_path, monkeypatch,
+                                       assert_no_children, window):
+        # Each process records its searches' policies; a worker's answer
+        # carries its record back.
+        searched, used, workers = [], [], []
+        real_sharded, real_many = cli.rollout_sharded, inference.rollout_many
 
-        def start(searches, max_steps):
-            started.append({id(policy) for policy, _, _ in searches})
-            return real(searches, max_steps)
+        def rollout_sharded(searches, max_steps):
+            searched.append(searches)
+            return real_sharded(searches, max_steps)
 
-        monkeypatch.setattr(inference, "_start_worker", start)
+        def rollout_many(searches, max_steps):
+            used.append({id(policy) for policy, _, _ in searches})
+            return real_many(searches, max_steps)
+
+        class Worker(procs.Worker):
+            def __init__(self, name, serve):
+                workers.append(self)
+                super().__init__(name, lambda request: (serve(request), used[-1]))
+
+            def result(self):
+                value, self.used = super().result()
+                return value
+
+        monkeypatch.setattr(cli, "rollout_sharded", rollout_sharded)
+        monkeypatch.setattr(inference, "rollout_many", rollout_many)
+        monkeypatch.setattr(inference, "Worker", Worker)
         assert self._infer(three_phases, window, tmp_path / "one", monkeypatch, cpus=1) == 0
-        assert not started
+        assert not workers
         assert self._infer(three_phases, window, tmp_path / "two", monkeypatch) == 0
-        assert [len(policies) for policies in started] == [1]  # phase 1's, in the worker
-        self._assert_no_children()
+        phase1 = searched[-1][1][0]  # each video's searches run phases 0, 1, 2
+        assert [worker.used for worker in workers] == [{id(phase1)}]
+        assert_no_children()
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert len(names) == 2 * 5
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    def test_worker_error_is_data_error(self, three_phases, tmp_path, monkeypatch, capfd):
+    def test_worker_error_is_data_error(self, three_phases, tmp_path, monkeypatch, capfd,
+                                        assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
         def rollout_many(searches, max_steps):
@@ -403,9 +419,10 @@ class TestInferWorkers:
         err = capfd.readouterr().err
         assert "error: worker shard failed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-        self._assert_no_children()
+        assert_no_children()
 
-    def test_killed_worker_is_reported(self, three_phases, tmp_path, monkeypatch, capfd):
+    def test_killed_worker_is_reported(self, three_phases, tmp_path, monkeypatch, capfd,
+                                       assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
         def rollout_many(searches, max_steps):
@@ -418,9 +435,10 @@ class TestInferWorkers:
         err = capfd.readouterr().err
         assert f"exit code {-signal.SIGKILL}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-        self._assert_no_children()
+        assert_no_children()
 
-    def test_parent_error_reaps_worker(self, three_phases, tmp_path, monkeypatch):
+    def test_parent_error_reaps_worker(self, three_phases, tmp_path, monkeypatch,
+                                       assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
         def rollout_many(searches, max_steps):
@@ -434,10 +452,11 @@ class TestInferWorkers:
         with pytest.raises(RuntimeError, match="parent shard failed"):
             self._infer(three_phases, 3, tmp_path / "out", monkeypatch)
         assert time.monotonic() - start < 30
-        self._assert_no_children()
+        assert_no_children()
 
     @pytest.mark.parametrize("window", [3, 5])
-    def test_each_shard_views_the_loaded_stack(self, three_phases, tmp_path, monkeypatch, window):
+    def test_each_shard_views_the_loaded_stack(self, three_phases, tmp_path, monkeypatch,
+                                               assert_no_children, window):
         # Policies load shard by shard, so each shard's networks are
         # consecutive rows of the loaded stack, which its search views; a
         # copy, here or in the worker, fails the run.
@@ -453,7 +472,7 @@ class TestInferWorkers:
         monkeypatch.setattr(inference, "stack_networks", stack_networks)
         assert self._infer(three_phases, window, tmp_path / "out", monkeypatch) == 0
         assert seen == [4]  # phases 0 and 2 here; phase 1 in the worker
-        self._assert_no_children()
+        assert_no_children()
 
 
 @pytest.fixture
@@ -466,11 +485,11 @@ def exact_split():
 class TestTrainHelper:
     # train runs each update's batch as two row parts, the second in a
     # forked helper, where two CPUs are usable (faked here through the one
-    # training._usable_cpus), BLAS runs one thread (faked too) and two
+    # procs.usable_cpus), BLAS runs one thread (faked too) and two
     # parts reproduce one exactly.
 
     def _train(self, workspace, out, monkeypatch, *flags, cpus=2):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(training, "_blas_threads", lambda: 1)
         data = str(workspace / "data")
         return main(["train", "--phase", "0", "--phases", "2", "--features-dir", data,
@@ -478,14 +497,10 @@ class TestTrainHelper:
                      "--window", "3", "--episodes", "1", "--max-steps", "20", "--hidden", "8",
                      "--layers", "2", "--eps-start", "0.5", *flags])
 
-    def _assert_no_children(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("gamma", [["--gamma", "0"], ["--gamma", "0.9", "--target-sync", "3"]])
     @pytest.mark.parametrize("batch, helpers", [(8, 1), (12, 0)])
     def test_outputs_match_one_process(self, workspace, tmp_path, monkeypatch, exact_split,
-                                       gamma, batch, helpers):
+                                       assert_no_children, gamma, batch, helpers):
         made, real = [], training._RowHelper.__init__
         monkeypatch.setattr(training._RowHelper, "__init__",
                             lambda helper, *args: made.append(helper) or real(helper, *args))
@@ -494,14 +509,15 @@ class TestTrainHelper:
         assert not made
         assert self._train(workspace, tmp_path / "two", monkeypatch, *flags) == 0
         assert len(made) == helpers  # a batch of 12 splits into parts of 6 rows: not exact
-        self._assert_no_children()
+        assert_no_children()
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert len(names) == 4
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    def test_killed_helper_is_reported(self, workspace, tmp_path, monkeypatch, capfd, exact_split):
+    def test_killed_helper_is_reported(self, workspace, tmp_path, monkeypatch, capfd, exact_split,
+                                       assert_no_children):
         parent, real = os.getpid(), training._update_rows
 
         def update_rows(*args):
@@ -514,10 +530,10 @@ class TestTrainHelper:
         err = capfd.readouterr().err
         assert f"exit code {-signal.SIGKILL}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-        self._assert_no_children()
+        assert_no_children()
 
     def test_helper_error_is_data_error(self, workspace, tmp_path, monkeypatch, capfd,
-                                        exact_split):
+                                        exact_split, assert_no_children):
         parent, real = os.getpid(), training._update_rows
 
         def update_rows(*args):
@@ -529,7 +545,7 @@ class TestTrainHelper:
         assert self._train(workspace, tmp_path / "out", monkeypatch, "--batch", "8") == 2
         err = capfd.readouterr().err
         assert "error: helper rows failed" in err and "Traceback" not in err
-        self._assert_no_children()
+        assert_no_children()
 
 
 def _meta_cases():

@@ -1,4 +1,3 @@
-import os
 import pickle
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import phaseseek.inference as inference
 import phaseseek.nets as nets
-import phaseseek.training as training
+import phaseseek.procs as procs
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import FeatureSequence, TransitionSet
 from phaseseek.inference import (
@@ -394,11 +393,11 @@ class TestRolloutMany:
             assert _fields(result) == _fields(rollout_many([search], max_steps=25)[0])
             assert _fields(result) == _reference_rollout(*search, 25)
 
-    def test_shards_match_one_call(self, monkeypatch):
+    def test_shards_match_one_call(self, monkeypatch, assert_no_children):
         # Three policies over two processes: policies 0 and 2 here, policy
         # 1 in a worker whose results outgrow a 64 KiB pipe buffer (the
         # zero networks walk Right for 200 rounds, reading 200+ clips).
-        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
         policies = [SearchPolicy(init_qnetwork(2, 3, 1, seed=4), init_qnetwork(2, 3, 1, seed=5), 3),
                     SearchPolicy(zero_qnetwork(2, 3, 1), zero_qnetwork(2, 3, 1), 3),
                     SearchPolicy(init_qnetwork(2, 3, 1, seed=6), init_qnetwork(2, 3, 1, seed=7), 5)]
@@ -411,8 +410,7 @@ class TestRolloutMany:
         assert len(pickle.dumps((True, worker))) > 1 << 16
         together = inference.rollout_sharded(searches, 200)
         assert list(map(_fields, together)) == list(map(_fields, expected))
-        with pytest.raises(ChildProcessError):  # the worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_children()
 
     def test_dim_mismatch_rejected(self):
         policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)

@@ -1,11 +1,12 @@
 import dataclasses
 import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from phaseseek import inference, nets, training
+from phaseseek import inference, nets, procs, training
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import (
     MAX_VALUES,
@@ -518,16 +519,23 @@ class TestTrain:
         assert caplog.messages == [f"phase 1: no Bellman update ran: {steps} record(s) pushed "
                                    f"per agent, memory holds {steps}, batch needs {steps + 1}"]
 
+    def test_mixed_feature_dims_refused(self):
+        # A dim-1 video among dim-4 ones was broadcast across all 4 columns.
+        wide, narrow = _tiny_dataset(2), _tiny_dataset(1, dim=1)
+        with pytest.raises(PhaseseekError, match="video 1: feature dim 1 does not match "
+                                                 "feature dim 4 of video 0"):
+            train([wide[0], narrow[0], wide[1]], 1, _tiny_config(), FixedInit(0.4, 0.9))
+
 
 @pytest.fixture
 def helpers(monkeypatch):
-    # Two CPUs faked through the one training._usable_cpus, and one BLAS
+    # Two CPUs faked through the one procs.usable_cpus, and one BLAS
     # thread, and every row helper train forks, recorded; skips where two
     # row parts of _tiny_config's geometry (dim 4, hidden 8, 1 layer,
     # 2L = 6, batch 8) do not reproduce one with the BLAS in use.
     if not nets.splits_exactly(init_qnetwork(4, 8, 1), 8, 6, 2):
         pytest.skip("two row parts round differently from one with the BLAS in use")
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "_blas_threads", lambda: 1)
     made, real = [], training._RowHelper.__init__
     monkeypatch.setattr(training._RowHelper, "__init__",
@@ -535,14 +543,10 @@ def helpers(monkeypatch):
     return made
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestRowHelper:
     @pytest.mark.parametrize("gamma", [0.0, 0.9])
-    def test_every_update_is_one_call_here(self, monkeypatch, helpers, gamma):
+    def test_every_update_is_one_call_here(self, monkeypatch, helpers, assert_no_children,
+                                           gamma):
         # perfbench's UpdateCounter wraps training.dqn_update in the calling
         # process: with the helper forked, it still sees every update.
         calls, real = [], training.dqn_update
@@ -559,10 +563,10 @@ class TestRowHelper:
         pushes = cfg.episodes_max * len(dataset) * cfg.max_steps_per_video
         assert len(helpers) == 1
         assert calls == [os.getpid()] * (2 * (pushes - cfg.batch + 1))
-        _assert_no_children()
+        assert_no_children()
 
     @pytest.mark.parametrize("step", ["_update_rows", "recurrent_gradients"])
-    def test_helper_error_comes_back(self, monkeypatch, helpers, step):
+    def test_helper_error_comes_back(self, monkeypatch, helpers, assert_no_children, step):
         # The helper's rows fail, or its share of the batch sums.
         parent, real = os.getpid(), getattr(training, step)
 
@@ -575,9 +579,9 @@ class TestRowHelper:
         with pytest.raises(ArithmeticError, match="part 1 failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
-        _assert_no_children()
+        assert_no_children()
 
-    def test_error_here_reaps_helper(self, monkeypatch, helpers):
+    def test_error_here_reaps_helper(self, monkeypatch, helpers, assert_no_children):
         # This process's part fails while the helper runs its own.
         parent, real = os.getpid(), training._update_rows
 
@@ -590,7 +594,20 @@ class TestRowHelper:
         with pytest.raises(LookupError, match="part 0 failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
-        _assert_no_children()
+        assert_no_children()
+
+    def test_helper_killed_between_updates(self, helpers, assert_no_children):
+        # The helper dies while it waits for a request, so the next update's
+        # request meets a closed pipe.
+        def kill(log):
+            if log.video == 0:
+                os.kill(helpers[0].pid, signal.SIGKILL)
+                os.waitid(os.P_PID, helpers[0].pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+
+        with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}"):
+            train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9), on_video=kill)
+        assert len(helpers) == 1
+        assert_no_children()
 
     def test_no_helper_without_an_update(self, helpers):
         cfg = _tiny_config(batch=8, memory_capacity=7)  # a memory never holds a batch
