@@ -15,19 +15,16 @@ One kernel evaluates and differentiates networks: :func:`forward_stack`
 evaluates every network of a :class:`QNetwork` (one, or several joined by
 :func:`stack_networks`) in one pass, and, when asked to cache, keeps every
 step's activations for :func:`backward_stack`, which returns gradients
-shaped exactly like :func:`param_list`.  A cached pass may also run its
-batch as row parts, each part's rows through :func:`forward_rows` and
-:func:`backward_rows`, before :func:`weight_gradients` sums over the whole
-batch; training runs the parts in separate processes.  :func:`forward` and
+shaped exactly like :func:`param_list`.  :func:`forward` and
 :func:`backward` are its one-network wrappers, and :func:`q_values`
 evaluates states under chosen networks of a stack for greedy search.
-Training code is the single writer of a network's arrays; frozen networks
-are safe to share across threads.
+Training code is the single writer of a network's arrays, in one process
+(a forked helper only reads them); frozen networks are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -251,14 +248,13 @@ def stack_networks(nets: list[QNetwork]) -> QNetwork:
 # The LSTM kernel: forward and backward
 # ---------------------------------------------------------------------------
 
-def _arrays(shapes: list[tuple[int, ...]], block: np.ndarray | None = None) -> list[np.ndarray]:
-    # Uninitialized arrays carved in order from ``block`` or from a new
-    # block.  The allocator reuses a freed block of this size, so repeated
-    # passes of one geometry (one per training update) do not touch fresh
-    # pages; separate arrays did, and cost about 3 ms per update.
+def _arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    # Uninitialized arrays carved in order from one new block.  The
+    # allocator reuses a freed block of this size, so repeated passes of
+    # one geometry (one per training update) do not touch fresh pages;
+    # separate arrays did, and cost about 3 ms per update.
     sizes = [math.prod(s) for s in shapes]
-    if block is None:
-        block = np.empty(sum(sizes))
+    block = np.empty(sum(sizes))
     out, offset = [], 0
     for shape, size in zip(shapes, sizes):
         out.append(block[offset: offset + size].reshape(shape))
@@ -270,18 +266,16 @@ def _arrays(shapes: list[tuple[int, ...]], block: np.ndarray | None = None) -> l
 class StackCache:
     """Every step's activations of one cached pass, and its head's rows.
 
-    The arrays are views of one block (see :func:`new_cache`).  A pass may
-    run its B rows as P parts of B/P rows, part p being rows
-    [p B/P, (p + 1) B/P) of every step (see :func:`forward_rows`).  Gates
-    are kept gate-major per part, so part p's gates at a step take exactly
-    the memory of that step's gate-minor rows of the part, where
-    :func:`backward_rows` writes their gradients.  The cache serves one
-    :func:`weight_gradients`, which marks it ``spent``.
+    The arrays are views of one block (see :func:`cached_pass_values`).
+    Gates are kept gate-major, so a step's gates take exactly the memory
+    of that step's gate-minor rows, where :func:`backward_stack` writes
+    their gradients.  The cache serves one backward, which marks it
+    ``spent``.
     """
 
     stack: QNetwork
     x: np.ndarray           # (N, T, B, D) inputs, step-major
-    gates: np.ndarray       # (layers, N, T, P, 4, B/P, H) i, f, o, g after activation
+    gates: np.ndarray       # (layers, N, T, 4, B, H) i, f, o, g after activation
     cells: np.ndarray       # (layers, N, T, B, H)
     tanh_cells: np.ndarray  # (layers, N, T, B, H)
     hiddens: np.ndarray     # (layers, N, T, B, H)
@@ -289,28 +283,6 @@ class StackCache:
     dq: np.ndarray          # (N, B, NUM_ACTIONS) upstream gradient of the Q-values
     dz1: np.ndarray         # (N, B, FC1_UNITS) gradient of fc1's pre-activation
     spent: bool = False
-
-    def rows(self, part: int) -> slice:
-        """The batch rows of part ``part``."""
-        size = self.x.shape[2] // self.gates.shape[3]
-        return slice(part * size, (part + 1) * size)
-
-
-def new_cache(stack: QNetwork, batch: int, steps: int, parts: int = 1,
-              block: np.ndarray | None = None) -> StackCache:
-    """Room for a cached pass of ``stack`` on ``batch`` states of ``steps``
-    steps, run as ``parts`` row parts of one size, carved from ``block`` (a
-    flat float64 array of ``len(stack)`` times :func:`cached_pass_values`
-    values, such as a view of shared memory) or from a new block."""
-    if batch % parts:
-        raise ValueError(f"a batch of {batch} does not split into {parts} equal parts")
-    n, h, depth = len(stack), stack.hidden_dim, stack.num_layers
-    rows = (depth, n, steps, batch, h)
-    shapes = [(depth, n, steps, parts, 4, batch // parts, h), rows, rows, rows,
-              (n, steps, batch, stack.input_dim), (n, batch, FC1_UNITS),
-              (n, batch, NUM_ACTIONS), (n, batch, FC1_UNITS)]
-    gates, cells, tcells, hiddens, x, a1, dq, dz1 = _arrays(shapes, block)
-    return StackCache(stack, x, gates, cells, tcells, hiddens, a1, dq, dz1)
 
 
 def _recur(stack: QNetwork, seq: np.ndarray, gates: np.ndarray, cells: np.ndarray,
@@ -357,22 +329,6 @@ def _recur(stack: QNetwork, seq: np.ndarray, gates: np.ndarray, cells: np.ndarra
     return hiddens[-1][:, -1]
 
 
-def forward_rows(cache: StackCache, x: np.ndarray, part: int = 0) -> np.ndarray:
-    """Q-values (N, B/P, NUM_ACTIONS) of row part ``part`` of a cached pass
-    on its states ``x`` (N, B/P, T, D), whose activations it keeps in
-    ``cache``.  A part writes only its own rows, so separate processes may
-    run the parts of one cache in shared memory; when B/P and B are
-    multiples of 4 of at most 256, every row's values equal those of a
-    one-part pass."""
-    stack, rows = cache.stack, cache.rows(part)
-    seq = cache.x[:, :, rows]  # kept for the backward's weight gradients
-    seq[...] = np.asarray(x, dtype=np.float64).transpose(0, 2, 1, 3)
-    h_last = _recur(stack, seq, cache.gates[:, :, :, part],
-                    *(a[:, :, :, rows] for a in (cache.cells, cache.tanh_cells, cache.hiddens)))
-    a1 = np.tanh(h_last @ stack.fc1_w + stack.fc1_b, out=cache.a1[:, rows])
-    return a1 @ stack.fc2_w + stack.fc2_b
-
-
 def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     """Q-values (N, B, NUM_ACTIONS) of every stacked network on its own batch.
 
@@ -384,9 +340,9 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
     ``tests/reference_kernel.py`` when B is a multiple of 4 (the BLAS
     micro-kernel height) and at most 256.
 
-    With ``cache=True`` it keeps every step's activations and returns
-    ``(q, StackCache)`` for :func:`backward_stack`: one :func:`forward_rows`
-    part on a :func:`new_cache`.
+    With ``cache=True`` it keeps every step's activations in one block (see
+    :func:`cached_pass_values`) and returns ``(q, StackCache)`` for
+    :func:`backward_stack`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or len(x) != len(stack):
@@ -396,12 +352,19 @@ def forward_stack(stack: QNetwork, x: np.ndarray, cache: bool = False):
         raise PhaseseekError(
             f"input dim {d} does not match network input dim {stack.input_dim}"
         )
+    h, depth = stack.hidden_dim, len(stack.layers)
     if cache:
-        room = new_cache(stack, b, t)
-        return forward_rows(room, x), room
+        rows = (depth, n, t, b, h)
+        gates, cells, tcells, hiddens, seq, a1, dq, dz1 = _arrays(
+            [(depth, n, t, 4, b, h), rows, rows, rows, (n, t, b, d), (n, b, FC1_UNITS),
+             (n, b, NUM_ACTIONS), (n, b, FC1_UNITS)])
+        seq[...] = x.transpose(0, 2, 1, 3)  # kept for the backward's weight gradients
+        h_last = _recur(stack, seq, gates, cells, tcells, hiddens)
+        np.tanh(h_last @ stack.fc1_w + stack.fc1_b, out=a1)
+        return (a1 @ stack.fc2_w + stack.fc2_b,
+                StackCache(stack, seq, gates, cells, tcells, hiddens, a1, dq, dz1))
     # An uncached pass keeps only the current step, and its layers share the
     # gate and tanh(cell) blocks.
-    h, depth = stack.hidden_dim, len(stack.layers)
     room = _arrays([(1, n, 1, 4, b, h), (depth, n, 1, b, h), (1, n, 1, b, h), (depth, n, 1, b, h)])
     h_last = _recur(stack, x.transpose(0, 2, 1, 3), *room)
     a1 = np.tanh(h_last @ stack.fc1_w + stack.fc1_b)
@@ -412,7 +375,7 @@ def cached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps: 
                        batch: int) -> int:
     """Values in the one block a cached :func:`forward_stack` pass allocates
     for one network on a ``(batch, steps, input_dim)`` batch (see
-    :func:`new_cache`): the inputs and every step's gates, cells,
+    :class:`StackCache`): the inputs and every step's gates, cells,
     tanh(cells) and hiddens, which :func:`backward_stack` reuses for its
     gradients, and the head's activations and gradients.  Python ints, so
     no overflow."""
@@ -480,42 +443,57 @@ def q_values(stack: QNetwork, which, states) -> np.ndarray:
     return np.stack([forward_stack(stack, batch) for batch in x])[passes, net, row]
 
 
-def backward_rows(cache: StackCache, part: int = 0) -> None:
-    """Row part ``part`` of the backward of a cached pass, from the part's
-    rows of ``cache.dq``: their rows of ``cache.dz1`` and, layer by layer
-    from the top and step by step from the last, their gate gradients and
-    the gradient each layer passes down.  Each step's gate gradients are
-    written gate-minor over the step's gates once those are read, and the
-    gradient passed down over the layer's tanh(cells), which are no longer
-    read.  Like :func:`forward_rows`, a part reads and writes only its own
-    rows, and its values do not depend on the other rows'.
-    :func:`weight_gradients` then sums over the batch."""
-    stack, rows = cache.stack, cache.rows(part)
+def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
+    """Exact gradients of sum(dq * q) w.r.t. every stacked network's parameters.
+
+    ``cache`` must come from a cached ``forward_stack`` pass on ``stack``
+    that no backward has consumed yet; ``dq`` is (N, B, NUM_ACTIONS).
+    Returns one array per parameter, shaped like :func:`param_list`'s.  The
+    gradients take the cache's room, so the cache is spent afterwards.
+    """
+    if cache is None or cache.stack is not stack:
+        raise PhaseseekError("cache does not belong to this network")
+    if cache.spent:
+        raise PhaseseekError("cache was already consumed by a backward pass")
+    n, _, b, _ = cache.x.shape
+    dq = np.asarray(dq, dtype=np.float64)
+    if dq.shape != (n, b, NUM_ACTIONS):
+        raise PhaseseekError(f"dq shape {dq.shape} does not match the ({n}, {b}) batch")
+    cache.dq[...] = dq
+    cache.spent = True
+    _gate_gradients(cache)
+    return _weight_gradients(cache)
+
+
+def _gate_gradients(cache: StackCache) -> None:
+    # The backward from cache.dq: cache.dz1 and, layer by layer from the
+    # top and step by step from the last, the gate gradients and the
+    # gradient each layer passes down.  Each step's gate gradients are
+    # written gate-minor over the step's gates once those are read, and the
+    # gradient passed down over the layer's tanh(cells), which are no longer
+    # read.
+    stack = cache.stack
     n, t, b, _ = cache.x.shape
-    h, parts = stack.hidden_dim, cache.gates.shape[3]
-    size = b // parts
+    h = stack.hidden_dim
 
     # Dense head.
-    a1, dz1 = cache.a1[:, rows], cache.dz1[:, rows]
-    da1 = cache.dq[:, rows] @ stack.fc2_w.transpose(0, 2, 1)
-    np.multiply(da1, 1.0 - a1 * a1, out=dz1)
-    dh_last = dz1 @ stack.fc1_w.transpose(0, 2, 1)
+    da1 = cache.dq @ stack.fc2_w.transpose(0, 2, 1)
+    np.multiply(da1, 1.0 - cache.a1 * cache.a1, out=cache.dz1)
+    dh_last = cache.dz1 @ stack.fc1_w.transpose(0, 2, 1)
 
     # Upstream gradient w.r.t. a layer's hidden sequence: for the top layer
     # dh_last at the last step and zero before, for a lower one the rows
     # the layer above wrote.
     d_seq = None
-    fac = np.empty((n, 4, size, h))  # a step's factors that do not depend on dc
-    dh, dh_rec, dc, dc_next, dc_o = (np.empty((n, size, h)) for _ in range(5))
+    fac = np.empty((n, 4, b, h))  # a step's factors that do not depend on dc
+    dh, dh_rec, dc, dc_next, dc_o = (np.empty((n, b, h)) for _ in range(5))
     for li in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[li]
-        gates = cache.gates[li, :, :, part]
-        cells, tcells = cache.cells[li][:, :, rows], cache.tanh_cells[li][:, :, rows]
-        # The part's gate gradients, gate-minor, in its gates' room: (N, T,
-        # B/P, 4H), and each step's as an (N, 4, B/P, H) view.
-        dz = cache.gates[li].reshape(n, t, parts, size, 4 * h)[:, :, part]
-        dz_steps = cache.gates[li].reshape(n, t, parts, size, 4, h)[:, :, part].transpose(
-            0, 1, 3, 2, 4)
+        gates, cells, tcells = cache.gates[li], cache.cells[li], cache.tanh_cells[li]
+        # The gate gradients, gate-minor, in the gates' room: (N, T, B, 4H),
+        # and each step's as an (N, 4, B, H) view.
+        dz = gates.reshape(n, t, b, 4 * h)
+        dz_steps = gates.reshape(n, t, b, 4, h).transpose(0, 1, 3, 2, 4)
         w_rec_t = np.ascontiguousarray(_gate_minor(layer.w_rec).transpose(0, 2, 1))
         dh_rec.fill(0.0)
         dc.fill(0.0)
@@ -552,30 +530,21 @@ def backward_rows(cache: StackCache, part: int = 0) -> None:
                 dc, dc_next = dc_next, dc
         if li > 0:
             # The lower layer's hidden dim equals h, so its upstream gradient
-            # fits in this layer's tanh(cells).  One part's rows are every
-            # step's rows, which one product takes, as the reference kernel.
+            # fits in this layer's tanh(cells).  Every step's rows take one
+            # product, as in the reference kernel.
             d_seq = tcells
-            w_in_t = _gate_minor(layer.w_in).transpose(0, 2, 1)
-            if parts == 1:
-                np.matmul(dz.reshape(n, t * b, 4 * h), w_in_t, out=d_seq.reshape(n, t * b, h))
-            else:
-                np.matmul(dz, w_in_t[:, None], out=d_seq)
+            np.matmul(dz.reshape(n, t * b, 4 * h), _gate_minor(layer.w_in).transpose(0, 2, 1),
+                      out=d_seq.reshape(n, t * b, h))
 
 
-def weight_gradients(cache: StackCache,
-                     recurrent: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Exact gradients of sum(dq * q) w.r.t. every stacked network's
-    parameters, shaped like :func:`param_list`'s, once :func:`backward_rows`
-    has run on every part of ``cache``.  Each sum over the batch is one
-    product or sum over the whole batch, rows in (step, row) order whatever
-    the parts.  The gate gradients are gate-minor, so the products over 4H
-    sum in the checkpoint file's column order; the weight gradients are then
-    moved into the kernel layout, which is exact.  With ``recurrent``, the
-    recurrent weights' gradients are not computed here: their places hold
-    these arrays, one per layer, which :func:`recurrent_gradients` fills
-    (training runs it in another process).  Marks the cache spent."""
-    _consume(cache)
-    cache.spent = True
+def _weight_gradients(cache: StackCache) -> list[np.ndarray]:
+    # The weight gradients once _gate_gradients has run, shaped like
+    # param_list's.  Each sum over the batch is one product or sum over the
+    # whole batch, rows in (step, row) order.  The gate gradients are
+    # gate-minor, so the products over 4H sum in the checkpoint file's
+    # column order; the weight gradients are then moved into the kernel
+    # layout, which is exact.  Recurrent weights see the hidden state one
+    # step earlier; step 0 contributes nothing (zero initial hidden state).
     stack = cache.stack
     n, t, b, _ = cache.x.shape
     h = stack.hidden_dim
@@ -587,88 +556,10 @@ def weight_gradients(cache: StackCache,
         x_in = (cache.x if li == 0 else cache.hiddens[li - 1]).reshape(n, t * b, -1)
         d_w_in = x_in.transpose(0, 2, 1) @ dz_flat
         d_bias = dz_flat.sum(axis=1, keepdims=True)
-        d_w_rec = _gate_major(_recurrent_product(cache, li)) if recurrent is None else recurrent[li]
-        grads[:0] = [_gate_major(d_w_in), d_w_rec, _gate_major(d_bias)]
+        h_prev = cache.hiddens[li][:, : t - 1].reshape(n, (t - 1) * b, h)
+        d_w_rec = h_prev.transpose(0, 2, 1) @ dz_flat[:, b:]
+        grads[:0] = [_gate_major(d_w_in), _gate_major(d_w_rec), _gate_major(d_bias)]
     return grads
-
-
-def _recurrent_product(cache: StackCache, li: int) -> np.ndarray:
-    # Layer li's recurrent weight gradient, gate-minor.  Recurrent weights
-    # see the hidden state one step earlier; step 0 contributes nothing
-    # (zero initial hidden state).
-    n, t, b, _ = cache.x.shape
-    h = cache.stack.hidden_dim
-    h_prev = cache.hiddens[li][:, : t - 1].reshape(n, (t - 1) * b, h)
-    return h_prev.transpose(0, 2, 1) @ cache.gates[li].reshape(n, t * b, 4 * h)[:, b:]
-
-
-def recurrent_gradients(cache: StackCache, out: list[np.ndarray]) -> None:
-    """Each layer's recurrent weight gradient, shaped like its ``w_rec``,
-    into ``out``, bottom layer first, as :func:`weight_gradients` computes
-    them, once :func:`backward_rows` has run on every part of ``cache``."""
-    for li, room in enumerate(out):
-        _gate_major(_recurrent_product(cache, li), out=room)
-
-
-def _consume(cache: StackCache) -> None:
-    # Refuse a cache whose gradients a backward already took.
-    if cache.spent:
-        raise PhaseseekError("cache was already consumed by a backward pass")
-
-
-def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients of sum(dq * q) w.r.t. every stacked network's parameters.
-
-    ``cache`` must come from a cached ``forward_stack`` pass on ``stack``
-    that no backward has consumed yet; ``dq`` is (N, B, NUM_ACTIONS).
-    Returns one array per parameter, shaped like :func:`param_list`'s:
-    :func:`backward_rows` on every part of the pass, then
-    :func:`weight_gradients`.  The gradients take the cache's room, so the
-    cache is spent afterwards.
-    """
-    if cache is None or cache.stack is not stack:
-        raise PhaseseekError("cache does not belong to this network")
-    _consume(cache)
-    n, _, b, _ = cache.x.shape
-    dq = np.asarray(dq, dtype=np.float64)
-    if dq.shape != (n, b, NUM_ACTIONS):
-        raise PhaseseekError(f"dq shape {dq.shape} does not match the ({n}, {b}) batch")
-    cache.dq[...] = dq
-    for part in range(cache.gates.shape[3]):
-        backward_rows(cache, part)
-    return weight_gradients(cache)
-
-
-def splits_exactly(stack: QNetwork, batch: int, steps: int, parts: int,
-                   block: np.ndarray | None = None) -> bool:
-    """Whether a pass of ``stack`` on ``batch`` states of ``steps`` steps,
-    run as ``parts`` row parts, reproduces the one-part pass bit for bit with
-    the BLAS in use: the Q-values, everything :func:`backward_rows` leaves
-    in the cache, and an uncached pass per part.  A BLAS may pick a
-    product's kernel by its shape, and its kernels round differently, so a
-    row's values can depend on the rows that share its product (OpenBLAS
-    0.3.31 does so at hidden dim 8).  Random states and upstream gradients
-    show it; both passes run in ``block`` (see :func:`new_cache`) or in a
-    new block."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(len(stack), batch, steps, stack.input_dim))
-    dq = rng.normal(size=(len(stack), batch, NUM_ACTIONS))
-    digests = []
-    for count in (1, parts):
-        cache = new_cache(stack, batch, steps, count, block)
-        rows = [cache.rows(part) for part in range(count)]
-        digest = hashlib.sha1()
-        for values in ([forward_rows(cache, x[:, r], part) for part, r in enumerate(rows)],
-                       [forward_stack(stack, x[:, r]) for r in rows]):
-            digest.update(np.concatenate(values, axis=1))
-        cache.dq[...] = dq
-        for part in range(count):
-            backward_rows(cache, part)
-        for room in (cache.x, cache.gates, cache.cells, cache.tanh_cells, cache.hiddens,
-                     cache.a1, cache.dz1):
-            digest.update(room)
-        digests.append(digest.digest())
-    return digests[0] == digests[1]
 
 
 def forward(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, StackCache]:

@@ -1,6 +1,6 @@
 """Forked worker processes, and how many processes to run.
 
-``training`` forks one :class:`Worker` to run half of each update's rows;
+``training`` forks one :class:`Worker` to compute the end agent's gradients;
 ``inference`` forks one per search shard after the first.
 """
 

@@ -8,7 +8,11 @@ rewarded +1 when it brings the window center closer to that video's true
 transition and -1 otherwise.  Updates follow the usual pattern: experiences
 go to a per-agent ring buffer, batches are regressed onto Bellman targets
 from a periodically synchronized target network.  At ``gamma`` 0 a target
-is the reward alone, and no target network exists.
+is the reward alone, and no target network exists.  Where two CPUs and
+one BLAS thread allow it, a forked helper computes the end agent's loss
+and gradients while this process computes the begin agent's; both Adam
+steps and every target sync run here, and every output byte is that of
+one process.
 
 Position updates keep ``begin <= end`` at all times: moves are clamped to
 the video bounds and against the partner position (begin first, then end
@@ -33,21 +37,16 @@ from .nets import (
     QNetwork,
     adam_init,
     adam_step,
-    backward_rows,
+    backward_stack,
     cached_pass_values,
     clone_params,
     copy_network,
     copy_params_into,
-    forward_rows,
     forward_stack,
     huber_loss,
     init_qnetwork,
-    new_cache,
     param_list,
     q_values,
-    recurrent_gradients,
-    splits_exactly,
-    weight_gradients,
 )
 from .procs import Worker, processes
 
@@ -100,6 +99,11 @@ class ReplayMemory:
         idx = rng.choice(self._size, size=batch, replace=False)
         rows = self._rows[idx]
         return rows[:, 0], rows[:, 1], self._actions[idx], self._rewards[idx]
+
+    def draw(self, batch: int, rng: np.random.Generator):
+        """A :meth:`sample` of ``batch`` records, or None (drawing nothing)
+        while the memory holds fewer."""
+        return self.sample(batch, rng) if self._size >= batch else None
 
 
 @dataclass
@@ -245,57 +249,48 @@ def select_action(
 def dqn_update(
     net: QNetwork,
     target_net: QNetwork | None,
-    memory: ReplayMemory,
+    sample,
     padded: np.ndarray,
-    batch: int,
     gamma: float,
     adam: AdamState,
-    rng: np.random.Generator,
-    helper: _RowHelper | None = None,
+    helper: _EndHelper | None = None,
 ) -> float | None:
-    """One Bellman regression step; returns batch loss, or None when the
-    memory holds fewer than ``batch`` records (no update performed).
+    """One Bellman regression step on a drawn ``sample`` (see
+    :meth:`ReplayMemory.sample`); returns the batch loss, or None when the
+    sample is None (no update performed).
 
     The sampled window rows are gathered from ``padded``.  The online
     network runs one cached kernel pass and its backward; the target network
     runs one uncached pass, only when ``gamma`` is not zero (at zero it may
-    be None).  With a ``helper`` made for these arguments, the batch runs
-    as two row parts, the second in the helper's process, which then sums
-    the recurrent weights' gradients over the batch (see
-    :class:`_RowHelper`); the other gradients' sums, the Adam step and the
-    loss run here, on the whole arrays, as without one.
+    be None).  With a ``helper`` started on this sample (see
+    :class:`_EndHelper`), the loss and gradients are the helper's, computed
+    in its process the same way; the Adam step runs here either way.
     """
-    if len(memory) < batch:
+    if sample is None:
         return None
-    sample = memory.sample(batch, rng)
     if helper is None:
-        cache, losses = new_cache(net, batch, sample[0].shape[1]), np.empty(batch)
+        loss, grads = _gradients(net, target_net, sample, padded, gamma)
     else:
-        cache, losses = helper.start(net, sample)
-    _update_rows(cache, target_net, padded, sample, losses, gamma, 0)
-    grads = weight_gradients(cache) if helper is None else helper.gradients(cache)
+        loss, grads = helper.gradients()
     adam_step(param_list(net), grads, adam)
-    return float(losses.mean())
+    return loss
 
 
-def _update_rows(cache, target_net, padded, sample, losses, gamma: float, part: int) -> None:
-    # Row part ``part`` of one update: the part's cached pass and Bellman
-    # targets, its rows of ``losses``, and its backward from each row's
-    # loss gradient over the whole batch.
-    rows = cache.rows(part)
-    states, next_states, actions, rewards = (field[rows] for field in sample)
-    q = forward_rows(cache, padded[states][None], part)[0]
+def _gradients(net, target_net, sample, padded, gamma: float):
+    # One update's batch loss and weight gradients: the cached pass, the
+    # Bellman targets, and the backward from each row's loss gradient.
+    states, next_states, actions, rewards = sample
+    q, cache = forward_stack(net, padded[states][None], cache=True)
     if gamma != 0.0:
         q_next = forward_stack(target_net, padded[next_states][None])[0]
         targets = rewards + gamma * q_next.max(axis=1)
     else:
         targets = rewards.astype(np.float64)
-    taken = np.arange(len(q)), actions
-    losses[rows], dpred = huber_loss(q[taken], targets)
-    dq = cache.dq[0, rows]
-    dq.fill(0.0)
+    taken = 0, np.arange(len(actions)), actions
+    losses, dpred = huber_loss(q[taken], targets)
+    dq = np.zeros_like(q)
     dq[taken] = dpred / len(losses)
-    backward_rows(cache, part)
+    return float(losses.mean()), backward_stack(net, cache, dq)
 
 
 # ---------------------------------------------------------------------------
@@ -337,102 +332,63 @@ class _Shared:
         return out
 
 
-class _RowHelper(Worker):
-    """A :class:`~phaseseek.procs.Worker` that runs row part 1 of every
-    update of an agent pair.
+class _EndHelper(Worker):
+    """A :class:`~phaseseek.procs.Worker` that computes the end agent's loss
+    and gradients while this process computes the begin agent's.
 
-    :meth:`fork` makes one before the pair's first update, when two row
-    parts are worth it and exact.  Each agent's network (and target) then
-    moves into shared memory, so this process's Adam steps and target syncs
-    reach the helper, beside one shared cached-pass block, one update's
-    sample and losses, and the recurrent weights' gradients.  Per update,
-    :meth:`start` writes the sample and requests agent i's part, which the
-    helper runs while this process runs part 0.  In :meth:`gradients`, once
-    both parts are done, the helper sums the recurrent weights' gradients
-    (request ``SUMS``) while this process sums the others.
+    :meth:`fork` makes one before the pair's first update.  The end agent's
+    network (and target) then move into shared memory, beside one update's
+    sample and gradients, so this process's Adam steps and target syncs
+    reach the helper, which only reads the weights.  Per step,
+    :meth:`start` writes end's drawn sample and sends one request;
+    :meth:`gradients` awaits the helper's loss, its gradients being in
+    shared memory.  The helper runs the code one process runs, on the same
+    shapes, so its loss and gradients are those of one process exactly.
     """
 
-    PARTS = 2
-    SUMS = 255
-    # splits_exactly's answer per (input dim, hidden dim, layers, batch,
-    # steps): a BLAS picks its kernels by the products' shapes, so the
-    # probe runs once per geometry in a process.
-    _exact: dict[tuple[int, ...], bool] = {}
-
     @classmethod
-    def fork(cls, slots, padded: np.ndarray, cfg: TrainConfig):
-        """A helper for ``slots``' updates, or a ``nullcontext`` when they
-        run in this process alone.  Two parts run when an update will run
-        (a memory can hold a batch), :func:`~phaseseek.procs.processes`
-        allows two, OpenBLAS runs one thread per product (with more, the
-        two processes' BLAS threads fight over the CPUs: an update took
-        twice as long), the batch is a multiple of 8 of at most 256 rows
-        (so each part is a multiple of 4 rows, the BLAS micro-kernel
-        height), and :func:`~phaseseek.nets.splits_exactly` holds for the
-        networks' geometry (probed once per geometry)."""
-        batch, steps, net = cfg.batch, 2 * cfg.window_len, slots[0].net
-        if not (slots[0].memory.capacity >= batch and processes(cls.PARTS) == cls.PARTS
-                and batch % (4 * cls.PARTS) == 0 and batch <= 256 and _blas_threads() == 1):
+    def fork(cls, end: _AgentSlot, padded: np.ndarray, cfg: TrainConfig):
+        """A helper for ``end``'s updates, or a ``nullcontext`` when they
+        run in this process.  It forks when an update will run (a memory can
+        hold a batch), :func:`~phaseseek.procs.processes` allows two, and
+        OpenBLAS runs one thread per product (with more, the two processes'
+        BLAS threads fight over the CPUs: an update took twice as long)."""
+        if not (end.memory.capacity >= cfg.batch and processes(2) == 2
+                and _blas_threads() == 1):
             return contextlib.nullcontext()
-        values = cached_pass_values(net.input_dim, net.hidden_dim, net.num_layers, steps, batch)
-        recurrent = [layer.w_rec.shape for layer in net.layers]
-        # The block, sample, losses and recurrent gradients.
-        room = _Shared(values + batch * (2 * steps + 3) + sum(map(math.prod, recurrent)))
-        block = room.take((values,))
-        geometry = (net.input_dim, net.hidden_dim, net.num_layers, batch, steps)
-        if geometry not in cls._exact:
-            cls._exact[geometry] = splits_exactly(net, batch, steps, cls.PARTS, block)
-        if not cls._exact[geometry]:
-            return contextlib.nullcontext()
-        return cls(slots, padded, cfg, room, block, recurrent)
+        return cls(end, padded, cfg)
 
-    def __init__(self, slots, padded, cfg, room: _Shared, block: np.ndarray, recurrent):
+    def __init__(self, end: _AgentSlot, padded: np.ndarray, cfg: TrainConfig):
         batch, steps = cfg.batch, 2 * cfg.window_len
-        self._batch, self._steps, self._block = batch, steps, block
+        weights = sum(p.size for p in param_list(end.net))
+        # The network, its target, the gradients and the sample.
+        room = _Shared((3 if end.target is not None else 2) * weights + batch * (2 * steps + 2))
+        end.net = copy_network(end.net, room.take)
+        if end.target is not None:
+            end.target = copy_network(end.target, room.take)
+        net, target = end.net, end.target
+        self._grads = [room.take(p.shape) for p in param_list(net)]
         self._sample = [room.take((batch, steps), np.int64), room.take((batch, steps), np.int64),
                         room.take((batch,), np.int64), room.take((batch,), np.int64)]
-        self._losses = room.take((batch,))
-        self._recurrent = [room.take(shape) for shape in recurrent]
-        held = [net for slot in slots for net in (slot.net, slot.target) if net is not None]
-        weights = _Shared(sum(p.size for net in held for p in param_list(net)))
-        for slot in slots:
-            slot.net = copy_network(slot.net, weights.take)
-            if slot.target is not None:
-                slot.target = copy_network(slot.target, weights.take)
-        self._nets = [slot.net for slot in slots]
-        self._agent = {id(net): i for i, net in enumerate(self._nets)}
-        targets = [slot.target for slot in slots]
 
-        def serve(request: int) -> None:  # in the helper, whose self this changes
-            if request == self.SUMS:
-                return recurrent_gradients(self._part, self._recurrent)
-            self._part = self._cache(self._nets[request])
-            _update_rows(self._part, targets[request], padded, self._sample, self._losses,
-                         cfg.gamma, 1)
+        def serve(_request: int) -> float:  # in the helper
+            loss, grads = _gradients(net, target, self._sample, padded, cfg.gamma)
+            for out, grad in zip(self._grads, grads):
+                out[...] = grad
+            return loss
 
         super().__init__("training helper", serve)
 
-    def _cache(self, net: QNetwork):
-        return new_cache(net, self._batch, self._steps, self.PARTS, self._block)
+    def start(self, sample) -> None:
+        """Write end's drawn ``sample`` and request its loss and gradients."""
+        for out, values in zip(self._sample, sample):
+            out[...] = values
+        self.send(0)
 
-    def start(self, net: QNetwork, sample):
-        """Write one update's ``sample`` for ``net`` and start the helper's
-        part; the update's shared cache and losses."""
-        for room, values in zip(self._sample, sample):
-            room[...] = values
-        self.send(self._agent[id(net)])
-        return self._cache(net), self._losses
-
-    def gradients(self, cache) -> list[np.ndarray]:
-        """The update's weight gradients, once this process's part of
-        ``cache`` is done: the helper's part is awaited, then the helper
-        sums the recurrent weights' gradients while this process sums the
-        others (see :func:`~phaseseek.nets.weight_gradients`)."""
-        self.result()
-        self.send(self.SUMS)
-        grads = weight_gradients(cache, self._recurrent)
-        self.result()
-        return grads
+    def gradients(self) -> tuple[float, list[np.ndarray]]:
+        """The started update's loss and weight gradients, once the helper
+        has computed them."""
+        return self.result(), self._grads
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +495,7 @@ def train(
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
     padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
 
-    with _RowHelper.fork((begin, end), padded, cfg) as helper:
+    with _EndHelper.fork(end, padded, cfg) as helper:
         for episode in range(cfg.episodes_max):
             eps = cfg.epsilon_at(episode)
             for (vid, seq, (gt_b, gt_e)), (p0_b, p0_e), base in zip(usable, starts, bases):
@@ -559,15 +515,22 @@ def train(
                     for slot, action, new_pos in ((begin, act_b, new_b), (end, act_e, new_e)):
                         reward = compute_reward(slot.pos, new_pos, slot.gt)
                         slot.memory.push(rows, next_rows, action, reward)
-                        loss = dqn_update(slot.net, slot.target, slot.memory, padded,
-                                          cfg.batch, cfg.gamma, slot.adam, rng, helper)
+                        slot.pos = new_pos
+                    # Begin's sample is drawn before end's, so the rng stream
+                    # is the same whether end's update runs here or in the
+                    # helper.
+                    samples = [slot.memory.draw(cfg.batch, rng) for slot in (begin, end)]
+                    if helper is not None and samples[1] is not None:
+                        helper.start(samples[1])
+                    for slot, sample, by in ((begin, samples[0], None), (end, samples[1], helper)):
+                        loss = dqn_update(slot.net, slot.target, sample, padded, cfg.gamma,
+                                          slot.adam, by)
                         if loss is not None:
                             slot.loss_sum += loss
                             slot.loss_count += 1
                             slot.updates += 1
                             if slot.target is not None and slot.updates % cfg.target_sync_period == 0:
                                 copy_params_into(slot.net, slot.target)
-                        slot.pos = new_pos
                     rows = next_rows
                 if on_video is not None:
                     on_video(TrainVideoLog(

@@ -14,10 +14,10 @@ train without a target network, at any other value with one.
 Pytest does not collect this file.  It takes about 15 s on one core.
 
 The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, so on two or
-more usable CPUs the forked processes run: ``train``'s row helper (where
-two row parts reproduce one exactly for the run's geometry) and
-``infer``'s search worker.  Under ``taskset -c 0`` everything runs in one
-process, and the digests must not change.
+more usable CPUs the forked processes run: ``train``'s helper, which
+computes the end agent's gradients (one per ``train`` call, in every
+configuration), and ``infer``'s search worker.  Under ``taskset -c 0``
+everything runs in one process, and the digests must not change.
 """
 
 from __future__ import annotations

@@ -263,7 +263,7 @@ class TestDqnUpdate:
         for _ in range(10):
             memory.push(*_record(rng, window=3))
         before = [p.copy() for p in param_list(net)]
-        loss = dqn_update(net, target, memory, _padded(rng), 128, 0.9, adam, rng)
+        loss = dqn_update(net, target, memory.draw(128, rng), _padded(rng), 0.9, adam)
         assert loss is None
         for a, b in zip(before, param_list(net)):
             np.testing.assert_array_equal(a, b)
@@ -280,7 +280,7 @@ class TestDqnUpdate:
             p[...] = 0.0
         for _ in range(8):
             memory.push(*_record(rng, reward=-1))
-        loss = dqn_update(net, target, memory, _padded(rng), 8, 0.9, adam, rng)
+        loss = dqn_update(net, target, memory.draw(8, rng), _padded(rng), 0.9, adam)
         assert loss == pytest.approx(0.5)
 
     def test_converges_to_reward_with_zero_gamma(self):
@@ -293,7 +293,7 @@ class TestDqnUpdate:
         for _ in range(8):
             memory.push(*record)
         for _ in range(400):
-            loss = dqn_update(net, target, memory, padded, 8, 0.0, adam, rng)
+            loss = dqn_update(net, target, memory.draw(8, rng), padded, 0.0, adam)
         q, _ = forward(net, padded[record[0]])
         assert q[ACTION_RIGHT] == pytest.approx(1.0, abs=0.05)
         assert loss < 1e-3
@@ -312,10 +312,11 @@ class TestDqnUpdate:
         for _ in range(200):
             memory.push(rng.integers(0, 200, size=10), rng.integers(0, 200, size=10),
                         int(rng.integers(2)), 1)
-        dqn_update(net, target, memory, padded, cfg.batch, gamma, adam, rng)
+        dqn_update(net, target, memory.draw(cfg.batch, rng), padded, gamma, adam)
         tracemalloc.start()
         try:
-            assert dqn_update(net, target, memory, padded, cfg.batch, gamma, adam, rng) is not None
+            assert dqn_update(net, target, memory.draw(cfg.batch, rng), padded, gamma,
+                              adam) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +352,7 @@ class TestRowLayoutOracle:
             memory.push(*_record(rng, action=int(rng.integers(2)), reward=int(rng.choice([-1, 1]))))
         rng_net, rng_row = np.random.default_rng(9), np.random.default_rng(9)
         for k in range(12):
-            loss = dqn_update(net, target, memory, padded, cfg.batch, cfg.gamma, adam, rng_net)
+            loss = dqn_update(net, target, memory.draw(cfg.batch, rng_net), padded, cfg.gamma, adam)
             row_loss = _row_dqn_update(row, row_target, memory, padded, cfg.batch, cfg.gamma,
                                        row_adam, rng_row)
             assert loss == row_loss
@@ -530,20 +531,18 @@ class TestTrain:
 @pytest.fixture
 def helpers(monkeypatch):
     # Two CPUs faked through the one procs.usable_cpus, and one BLAS
-    # thread, and every row helper train forks, recorded; skips where two
-    # row parts of _tiny_config's geometry (dim 4, hidden 8, 1 layer,
-    # 2L = 6, batch 8) do not reproduce one with the BLAS in use.
-    if not nets.splits_exactly(init_qnetwork(4, 8, 1), 8, 6, 2):
-        pytest.skip("two row parts round differently from one with the BLAS in use")
+    # thread, and every helper train forks, recorded.
     monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(training, "_blas_threads", lambda: 1)
-    made, real = [], training._RowHelper.__init__
-    monkeypatch.setattr(training._RowHelper, "__init__",
+    made, real = [], training._EndHelper.__init__
+    monkeypatch.setattr(training._EndHelper, "__init__",
                         lambda helper, *args: made.append(helper) or real(helper, *args))
     return made
 
 
 class TestRowHelper:
+    # train's forked helper, training._EndHelper.
+
     @pytest.mark.parametrize("gamma", [0.0, 0.9])
     def test_every_update_is_one_call_here(self, monkeypatch, helpers, assert_no_children,
                                            gamma):
@@ -565,33 +564,53 @@ class TestRowHelper:
         assert calls == [os.getpid()] * (2 * (pushes - cfg.batch + 1))
         assert_no_children()
 
-    @pytest.mark.parametrize("step", ["_update_rows", "recurrent_gradients"])
-    def test_helper_error_comes_back(self, monkeypatch, helpers, assert_no_children, step):
-        # The helper's rows fail, or its share of the batch sums.
-        parent, real = os.getpid(), getattr(training, step)
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    def test_every_adam_step_runs_here(self, monkeypatch, helpers, tmp_path,
+                                       assert_no_children, gamma):
+        # nets' single writer: with the helper forked, both agents' Adam
+        # steps run in this process.  Each call appends its pid to a file,
+        # so a call in the helper would show there too.
+        pids, real = tmp_path / "adam.pids", training.adam_step
+
+        def logged(*args):
+            with open(pids, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(training, "adam_step", logged)
+        dataset, cfg = _tiny_dataset(), _tiny_config(batch=8, gamma=gamma, target_sync_period=3)
+        train(dataset, 1, cfg, FixedInit(0.4, 0.9))
+        pushes = cfg.episodes_max * len(dataset) * cfg.max_steps_per_video
+        assert len(helpers) == 1
+        assert pids.read_text().split() == [str(os.getpid())] * (2 * (pushes - cfg.batch + 1))
+        assert_no_children()
+
+    def test_helper_error_comes_back(self, monkeypatch, helpers, assert_no_children):
+        # The helper's gradient step fails.
+        parent, real = os.getpid(), training._gradients
 
         def failing(*args):
             if os.getpid() != parent:
-                raise ArithmeticError("part 1 failed")
+                raise ArithmeticError("end agent's gradients failed")
             return real(*args)
 
-        monkeypatch.setattr(training, step, failing)
-        with pytest.raises(ArithmeticError, match="part 1 failed"):
+        monkeypatch.setattr(training, "_gradients", failing)
+        with pytest.raises(ArithmeticError, match="end agent's gradients failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
         assert_no_children()
 
     def test_error_here_reaps_helper(self, monkeypatch, helpers, assert_no_children):
-        # This process's part fails while the helper runs its own.
-        parent, real = os.getpid(), training._update_rows
+        # This process's gradient step fails while the helper runs its own.
+        parent, real = os.getpid(), training._gradients
 
-        def update_rows(*args):
+        def gradients(*args):
             if os.getpid() == parent:
-                raise LookupError("part 0 failed")
+                raise LookupError("begin agent's gradients failed")
             return real(*args)
 
-        monkeypatch.setattr(training, "_update_rows", update_rows)
-        with pytest.raises(LookupError, match="part 0 failed"):
+        monkeypatch.setattr(training, "_gradients", gradients)
+        with pytest.raises(LookupError, match="begin agent's gradients failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
         assert_no_children()
