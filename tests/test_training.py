@@ -585,16 +585,20 @@ class TestRowHelper:
         assert pids.read_text().split() == [str(os.getpid())] * (2 * (pushes - cfg.batch + 1))
         assert_no_children()
 
-    def test_helper_error_comes_back(self, monkeypatch, helpers, assert_no_children):
-        # The helper's gradient step fails.
-        parent, real = os.getpid(), training._gradients
+    # The helper's gradient step fails as a whole, or in its backward
+    # through the recurrence.  The case ids keep the names of the helper's
+    # two steps when it ran half of each update's rows.
+    @pytest.mark.parametrize("step", [pytest.param("_gradients", id="_update_rows"),
+                                      pytest.param("backward_stack", id="recurrent_gradients")])
+    def test_helper_error_comes_back(self, monkeypatch, helpers, assert_no_children, step):
+        parent, real = os.getpid(), getattr(training, step)
 
         def failing(*args):
             if os.getpid() != parent:
                 raise ArithmeticError("end agent's gradients failed")
             return real(*args)
 
-        monkeypatch.setattr(training, "_gradients", failing)
+        monkeypatch.setattr(training, step, failing)
         with pytest.raises(ArithmeticError, match="end agent's gradients failed"):
             train(_tiny_dataset(), 1, _tiny_config(batch=8), FixedInit(0.4, 0.9))
         assert len(helpers) == 1
