@@ -224,12 +224,13 @@ def _read_dataset(features_dir: Path, labels_dir: Path, num_phases: int):
 def _load_rows(paths: list[Path], lengths: list[int], dim: int, pad: int):
     """Each feature file decoded into its rows of one
     :func:`~phaseseek.training.zero_padded` matrix, ``pad`` zero rows around
-    each video, as one ``FeatureSequence`` per file viewing its rows, so
-    training and searches use the matrix in place.  Raises ``ValueError``,
-    before allocating, when the padding would exceed ``MAX_VALUES``."""
+    each video: one ``FeatureSequence`` per file, viewing its rows, and the
+    layout ``(matrix, base rows)`` that training and searches read in
+    place.  Raises ``ValueError``, before allocating, when the padding
+    would exceed ``MAX_VALUES``."""
     padded, bases = zero_padded(lengths, dim, pad)
     return [load_features(path, out=padded[base: base + t])
-            for path, base, t in zip(paths, bases.tolist(), lengths)]
+            for path, base, t in zip(paths, bases.tolist(), lengths)], (padded, bases)
 
 
 def _fit_clip_classifier(labeled, args):
@@ -279,7 +280,8 @@ def cmd_train(args) -> int:
     stems, paths, labels, dim = _read_dataset(features_dir, labels_dir, args.phases)
     try:  # one update's kernel pass or the window padding above MAX_VALUES
         check_update_size(cfg, dim)
-        seqs = _load_rows(paths, [lab.num_clips for lab in labels], dim, cfg.window_len // 2)
+        seqs, layout = _load_rows(paths, [lab.num_clips for lab in labels], dim,
+                                  cfg.window_len // 2)
     except ValueError as exc:
         raise _flag_error(exc, _TRAIN_FLAGS) from exc
     labeled = list(zip(seqs, labels))
@@ -291,7 +293,7 @@ def cmd_train(args) -> int:
 
     log_rows: list = []
     try:
-        policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append)
+        policy = train(dataset, args.phase, cfg, init, on_video=log_rows.append, layout=layout)
     except ValueError as exc:  # networks above MAX_VALUES
         raise _flag_error(exc, _TRAIN_FLAGS) from exc
 
@@ -361,26 +363,31 @@ def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
 def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dict[int, FixedInit]]:
     """Each phase's frozen policy and fixed initialization, checked against its meta JSON.
 
-    Every network loads into one stack per geometry, phases ordered shard
-    by shard as ``rollout_sharded`` deals them (see
+    Every network loads into one stack per geometry, and each policy
+    carries its stack and rows, which the search evaluates in place.  The
+    phases load shard by shard as ``rollout_sharded`` deals them (see
     :func:`~phaseseek.inference.shards`) and by window length within a
-    shard, so the networks that each shard's ``rollout_many`` groups
-    together are consecutive stack rows, which it searches without a copy.
+    shard, so the rows that each shard's ``rollout_many`` evaluates
+    together are consecutive, and no pass runs an idle row.
     """
     metas = {phase: _read_meta(ckpt_dir, phase) for phase in phases}
     order = [phase for shard in shards(list(phases))
              for phase in sorted(shard, key=lambda phase: metas[phase][0])]
     paths = [ckpt_dir / f"phase{phase}_{role}.qnet"
              for phase in order for role in ("begin", "end")]
-    nets = load_checkpoints(paths)
+    placed = load_checkpoints(paths)
     policies = {}
     for i, phase in enumerate(order):
         window, input_dim, _ = metas[phase]
-        for path, net in zip(paths[2 * i: 2 * i + 2], nets[2 * i: 2 * i + 2]):
+        (stack, row), (end_stack, end_row) = placed[2 * i: 2 * i + 2]
+        nets = stack[row: row + 1], end_stack[end_row: end_row + 1]
+        for path, net in zip(paths[2 * i: 2 * i + 2], nets):
             if net.input_dim != input_dim:
                 raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
                                      f"meta input_dim {input_dim}")
-        policies[phase] = SearchPolicy(nets[2 * i], nets[2 * i + 1], window)
+        # Files of one geometry load into consecutive rows, so end follows
+        # begin in one stack unless their geometries differ.
+        policies[phase] = SearchPolicy(*nets, window, (stack, row) if end_stack is stack else None)
     return policies, {phase: fi for phase, (_, _, fi) in metas.items()}
 
 
@@ -404,8 +411,8 @@ def cmd_infer(args) -> int:
         elif args.train_features_dir and args.train_labels_dir:
             _, train_paths, train_labels, train_dim = _read_dataset(
                 Path(args.train_features_dir), Path(args.train_labels_dir), args.phases)
-            train_seqs = _load_rows(train_paths, [lab.num_clips for lab in train_labels],
-                                    train_dim, 0)
+            train_seqs, _ = _load_rows(train_paths, [lab.num_clips for lab in train_labels],
+                                       train_dim, 0)
             classifier = _fit_clip_classifier(list(zip(train_seqs, train_labels)), args)
         else:
             raise UsageError("rmi initialization needs --rmi-predictions-dir, or "
@@ -414,7 +421,7 @@ def cmd_infer(args) -> int:
     # Every (video, phase) search runs in one lockstep batch per process,
     # so every video's header is checked before anything is allocated or
     # written.  The videos then load into one zero-padded matrix, padded
-    # for the widest window, which rollout_many searches in place.
+    # for the widest window, which the searches read in place.
     def check(stem, t, d):
         for phase in phases:
             expected = policies[phase].begin_net.input_dim
@@ -435,7 +442,7 @@ def cmd_infer(args) -> int:
     # Every phase searches every video, so the widest window's padding is the largest.
     widest = max(phases, key=lambda phase: policies[phase].window_len)
     try:
-        seqs = _load_rows(paths, lengths, dim, policies[widest].window_len // 2)
+        seqs, (padded, bases) = _load_rows(paths, lengths, dim, policies[widest].window_len // 2)
     except ValueError as exc:
         raise PhaseseekError(f"{_meta_path(ckpt_dir, widest)}: {exc}") from exc
     videos, searches = [], []
@@ -456,7 +463,9 @@ def cmd_infer(args) -> int:
                 init = PredictionInit(lambda video, labels=predicted: labels, fallback=init)
             searches.append((policies[phase], seq, init.initial_positions(seq, phase)))
         videos.append((stem, seq, rmi))
-    results = iter(rollout_sharded(searches, max_steps=args.max_steps))
+    # Each video's searches, one per phase, read its rows of the matrix.
+    layout = padded, np.repeat(bases, len(phases))
+    results = iter(rollout_sharded(searches, max_steps=args.max_steps, layout=layout))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -213,17 +213,6 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def whole_rows(view: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """``(array, row)`` when ``view`` is whole consecutive rows of the
-    C-contiguous ``array`` it views, from ``row`` on; else None."""
-    owner = view.base
-    if (owner is None or owner.dtype != view.dtype or owner.shape[1:] != view.shape[1:]
-            or owner.strides != view.strides or not owner.flags.c_contiguous):
-        return None
-    row, rem = divmod(view.ctypes.data - owner.ctypes.data, owner.strides[0])
-    return None if rem else (owner, row)
-
-
 # ---------------------------------------------------------------------------
 # Binary feature files (.trnf)
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import QNetwork, padded_rows, q_values, stack_networks, uncached_pass_values
+from .nets import QNetwork, pass_width, q_values, stack_networks, uncached_pass_values
 from .procs import Worker, processes
 from .training import (
     ROLE_BEGIN,
@@ -184,7 +184,8 @@ class RolloutResult:
 
 def _group_key(net: QNetwork, window_len: int) -> tuple:
     # rollout_many evaluates networks of one geometry that read windows of
-    # one length together.
+    # one length together: those a policy's stack carries (infer loads one
+    # stack per geometry), or else copied into a stack.
     return (net.input_dim, net.hidden_dim, net.num_layers, window_len)
 
 
@@ -194,86 +195,106 @@ def round_values(policies: list[SearchPolicy], videos: int) -> list[int]:
     each of ``videos`` videos once.
 
     The first round moves every agent, so each network of a group
-    evaluates one state per search of each policy it serves, and
-    :func:`~phaseseek.nets.q_values` zero-pads every network's batch to
-    :func:`~phaseseek.nets.padded_rows` of the busiest one.  That padded
-    batch, with one step's working set (see
-    :func:`~phaseseek.nets.uncached_pass_values`), is at least as large
-    as the round's state gather, ``2L x D`` values per moving agent.
+    evaluates one state per search of each policy it serves.
+    :func:`~phaseseek.nets.q_values` gathers one pass at a time, and a pass
+    gives every network of the group a batch of
+    :func:`~phaseseek.nets.pass_width` rows of the busiest network's
+    states; that gathered pass, with one step's working set (see
+    :func:`~phaseseek.nets.uncached_pass_values`), is counted, or the
+    round's window rows, 2L per moving agent, when those are more.
     """
     groups: dict[tuple, dict[int, int]] = {}  # per group key: states per network
     for policy in policies:
         for net in (policy.begin_net, policy.end_net):
             states = groups.setdefault(_group_key(net, policy.window_len), {})
             states[id(net)] = states.get(id(net), 0) + videos
-    values = {key: len(states) * uncached_pass_values(*key[:3], 2 * key[3],
-                                                      padded_rows(max(states.values())))
+    values = {key: max(len(states) * uncached_pass_values(*key[:3], 2 * key[3],
+                                                          pass_width(max(states.values()))),
+                       2 * key[3] * sum(states.values()))
               for key, states in groups.items()}
     return [max(values[_group_key(net, policy.window_len)]
                 for net in (policy.begin_net, policy.end_net)) for policy in policies]
 
 
-class _StackGroup:
-    # Networks of one geometry that read windows of one length, stacked for
-    # q_values, and the videos they search in one padded feature matrix,
-    # which their states are gathered from.  Networks that are consecutive
-    # rows of one stack, and videos that are rows of one padded matrix (as
-    # infer loads them), are used where they lie.
-    def __init__(self, nets: list[QNetwork], videos: list[FeatureSequence], window_len: int):
-        self.stack = stack_networks(nets)
-        self.padded, base = pad_videos(videos, window_len // 2)
-        self.base = dict(zip(map(id, videos), base.tolist()))
-        self.window_len = window_len
-
-
 def rollout_many(
     searches: list[tuple[SearchPolicy, FeatureSequence, tuple[int, int]]],
     max_steps: int = 200,
+    layout: tuple[np.ndarray, list[int]] | None = None,
 ) -> list[RolloutResult]:
     """Run every ``(policy, video, init_pos)`` search greedily, in lockstep.
 
-    Each round, the networks of one geometry and window length evaluate
-    the states of all their unsettled agents together: one index gathers
-    the states from the group's padded feature matrix (see
-    :func:`~phaseseek.training.pad_videos`), and one
-    :func:`~phaseseek.nets.q_values` call evaluates them (one pass unless a
-    network has more than 256 states).  Both agents
-    of a search decide on the pre-move state; begin moves first and end is
-    clamped against begin's new position.  An agent settles at min(p, p')
-    once its last three positions are (p, p', p) with |p - p'| <= 1: a
-    left/right oscillation or a double-clamped fixed point.  A settled
-    agent's window still feeds the shared state.  A search leaves the batch
-    once both agents settle or after ``max_steps`` rounds; then
-    ``converged`` is False and the current positions are reported.
-    ``visited`` holds the clips of every window either agent occupied, which
-    includes every clip whose features enter a state.  Results come back in
-    input order and equal those of rolling out each search alone.
+    Each round, the networks of one stack that read windows of one length
+    evaluate the states of all their unsettled agents in one
+    :func:`~phaseseek.nets.q_values` call (one pass unless a network has
+    more than 256 states), each state given as its window rows of one
+    padded feature matrix.  With ``layout=(padded, bases)``, clip ``c`` of
+    search ``i``'s video is row ``bases[i] + c`` of ``padded``, with at
+    least ``L // 2`` zero rows around the video for the search's window
+    length ``L``, and every video has the matrix's feature dim; without
+    it, the videos of each feature dim are copied into one matrix padded
+    for the widest window (see :func:`~phaseseek.training.pad_videos`).  A
+    policy that carries its ``stack`` is evaluated on those rows in place;
+    the other networks are stacked per geometry and window length.  Both
+    agents of a search decide on the pre-move state; begin moves first and
+    end is clamped against begin's new position.  An agent settles at
+    min(p, p') once its last three positions are (p, p', p) with
+    |p - p'| <= 1: a left/right oscillation or a double-clamped fixed
+    point.  A settled agent's window still feeds the shared state.  A
+    search leaves the batch once both agents settle or after ``max_steps``
+    rounds; then ``converged`` is False and the current positions are
+    reported.  ``visited`` holds the clips of every window either agent
+    occupied, which includes every clip whose features enter a state.
+    Results come back in input order and equal those of rolling out each
+    search alone.
     """
-    # Per group key: each network's (stack row, network) and each video.
-    members: dict[tuple, tuple[dict, dict]] = {}
-    slots, starts = [], []  # (group key, stack row, video) per agent; starts per search
+    if not searches:
+        return []
+    if layout is None:
+        # The videos of each feature dim in one matrix, padded for the
+        # widest window.
+        pad = max(policy.window_len for policy, _, _ in searches) // 2
+        dims: dict[int, dict[int, FeatureSequence]] = {}
+        for _, video, _ in searches:
+            dims.setdefault(video.dim, {})[id(video)] = video
+        matrices, base_of = {}, {}
+        for dim, videos in dims.items():
+            matrices[dim], base = pad_videos(list(videos.values()), pad)
+            base_of.update(zip(videos, base.tolist()))
+        bases = [base_of[id(video)] for _, video, _ in searches]
+    else:
+        matrices, bases = {layout[0].shape[1]: layout[0]}, layout[1]
+    # Per group, a stack's networks that read windows of one length: the
+    # stack, or None and the networks to stack, by id, with their rows.
+    groups: dict[tuple, tuple[QNetwork | None, dict]] = {}
+    slots, starts = [], []  # (group key, stack row) per agent; starts per search
     for policy, video, init_pos in searches:
-        for net in (policy.begin_net, policy.end_net):
+        for r, net in enumerate((policy.begin_net, policy.end_net)):
             if net.input_dim != video.dim:
                 raise PhaseseekError(f"video feature dim {video.dim} does not match "
                                      f"network input dim {net.input_dim}")
-            key = _group_key(net, policy.window_len)
-            nets, videos = members.setdefault(key, ({}, {}))
-            row = nets.setdefault(id(net), (len(nets), net))[0]
-            videos[id(video)] = video
-            slots.append((key, row, id(video)))
+            if policy.stack is not None:
+                stack, row = policy.stack
+                key = (id(stack), policy.window_len)
+                groups.setdefault(key, (stack, {}))
+                row += r
+            else:
+                key = _group_key(net, policy.window_len)
+                nets = groups.setdefault(key, (None, {}))[1]
+                row = nets.setdefault(id(net), (len(nets), net))[0]
+            slots.append((key, row))
         starts.append(sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos))
-    groups = {key: _StackGroup([net for _, net in nets.values()], list(videos.values()), key[-1])
-              for key, (nets, videos) in members.items()}
+    stacks = [stack_networks([net for _, net in nets.values()]) if stack is None else stack
+              for stack, nets in groups.values()]
 
-    # Per agent, shape (searches, 2) with begin in column 0: its stack
-    # group, stack row and video base row, its position and previous
-    # position, whether it settled, and the range of positions it reached.
+    # Per agent, shape (searches, 2) with begin in column 0: its group and
+    # stack row, its position and previous position, whether it settled,
+    # and the range of positions it reached; per search, its video's base
+    # row.
     n = len(searches)
     index = {key: g for g, key in enumerate(groups)}
-    group_of, row_of, base = np.array(
-        [(index[key], row, groups[key].base[video]) for key, row, video in slots],
-        dtype=np.int64).reshape(n, 2, 3).transpose(2, 0, 1)
+    group_of, row_of = np.array([(index[key], row) for key, row in slots],
+                                dtype=np.int64).reshape(n, 2, 2).transpose(2, 0, 1)
+    base = np.array(bases, dtype=np.int64).reshape(n, 1)
     num_clips = np.array([video.num_clips for _, video, _ in searches], dtype=np.int64)
     pos = np.array(starts, dtype=np.int64).reshape(n, 2)
     prev = np.full((n, 2), -2)  # no position equals -2
@@ -289,13 +310,13 @@ def rollout_many(
         # as a search whose agents both settled is no longer active.
         role, who = np.nonzero(~settled.T)
         actions = np.empty(len(who), dtype=np.int64)
-        for g, group in enumerate(groups.values()):
+        for g, (key, stack) in enumerate(zip(groups, stacks)):
             mine = np.flatnonzero(group_of[who, role] == g)
             if not len(mine):
                 continue
             s, r = who[mine], role[mine]
-            states = group.padded[window_rows(base[s, r][:, None] + pos[s], group.window_len)]
-            actions[mine] = greedy(q_values(group.stack, row_of[s, r], states))
+            rows = window_rows(base[s] + pos[s], key[-1])
+            actions[mine] = greedy(q_values(stack, row_of[s, r], matrices[stack.input_dim], rows))
         # All begin moves precede all end moves, so end is clamped against
         # begin's new (or settled) position.
         for r, agent in enumerate((ROLE_BEGIN, ROLE_END)):
@@ -331,6 +352,7 @@ def shards(policies: list) -> list[list]:
 def rollout_sharded(
     searches: list[tuple[SearchPolicy, FeatureSequence, tuple[int, int]]],
     max_steps: int = 200,
+    layout: tuple[np.ndarray, list[int]] | None = None,
 ) -> list[RolloutResult]:
     """:func:`rollout_many`'s results, with each policy's searches run in
     one of up to one process per usable CPU.
@@ -342,20 +364,23 @@ def rollout_sharded(
     Each shard after the first runs in a forked
     :class:`~phaseseek.procs.Worker`, whose one answer is its results; this
     process runs the first shard and merges the results back into input
-    order.  An exception a worker raised is raised here again, with its
-    type and message; when anything raises, every worker is killed and
-    reaped.  With one shard, this is one :func:`rollout_many` call.
+    order.  Each shard gets its searches' slice of ``layout``'s base rows,
+    and a worker reads the matrix this process holds.  An exception a
+    worker raised is raised here again, with its type and message; when
+    anything raises, every worker is killed and reaped.  With one shard,
+    this is one :func:`rollout_many` call.
     """
     dealt = shards(list(dict.fromkeys(id(policy) for policy, _, _ in searches)))
     if len(dealt) <= 1:
-        return rollout_many(searches, max_steps)
+        return rollout_many(searches, max_steps, layout)
     shard_of = {policy: i for i, shard in enumerate(dealt) for policy in shard}
     parts: list[list[int]] = [[] for _ in dealt]
     for i, (policy, _, _) in enumerate(searches):
         parts[shard_of[id(policy)]].append(i)
 
     def run(part):
-        return rollout_many([searches[i] for i in part], max_steps)
+        mine = None if layout is None else (layout[0], [layout[1][i] for i in part])
+        return rollout_many([searches[i] for i in part], max_steps, mine)
 
     with ExitStack() as stack:
         workers = [stack.enter_context(Worker("search worker", lambda _, part=part: run(part)))

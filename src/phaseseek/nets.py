@@ -12,15 +12,16 @@ A :class:`QNetwork` keeps its weights in one layout only, the gate-major
 blocks the kernel reads; checkpoints keep the (rows, 4H) layout above, and
 :func:`save_checkpoint` and :func:`load_checkpoint` convert at the file.
 One kernel evaluates and differentiates networks: :func:`forward_stack`
-evaluates every network of a :class:`QNetwork` (one, or several joined by
-:func:`stack_networks`) in one pass, and, when asked to cache, keeps every
-step's activations for :func:`backward_stack`, which returns gradients
-shaped exactly like :func:`param_list`.  :func:`forward` and
-:func:`backward` are its one-network wrappers, and :func:`q_values`
-evaluates states under chosen networks of a stack for greedy search.
-Training code is the single writer of a network's arrays, in one process
-(a forked helper only reads them); frozen networks are safe to share
-across threads.
+evaluates every network of a :class:`QNetwork` (one, several concatenated
+by :func:`stack_networks`, or a stack :func:`load_checkpoints` loads) in
+one pass, and, when asked to cache, keeps every step's activations for
+:func:`backward_stack`, which returns gradients shaped exactly like
+:func:`param_list`.  :func:`forward` and :func:`backward` are its
+one-network wrappers, and :func:`q_values` evaluates states, given as
+window rows of a padded feature matrix, under chosen rows of a stack for
+greedy search.  Training code is the single writer of a network's arrays,
+in one process (a forked helper only reads them); frozen networks are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import check_values, whole_rows, write_atomic
+from .features import check_values, write_atomic
 
 FC1_UNITS = 50
 NUM_ACTIONS = 2
@@ -176,14 +177,6 @@ def init_qnetwork(
     return net
 
 
-def zero_qnetwork(input_dim: int, hidden_dim: int = 64, num_layers: int = 2) -> QNetwork:
-    """All-zero network (useful as a fixed point in tests)."""
-    net = init_qnetwork(input_dim, hidden_dim, num_layers, seed=0)
-    for p in param_list(net):
-        p[...] = 0.0
-    return net
-
-
 def param_list(net: QNetwork) -> list[np.ndarray]:
     """All parameter arrays in declaration order (views, not copies)."""
     params: list[np.ndarray] = []
@@ -215,25 +208,9 @@ def copy_params_into(src: QNetwork, dst: QNetwork) -> None:
         p_dst[...] = p_src
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    # The parts concatenated, as a view when they already are consecutive
-    # rows of one array, in order.
-    held = [whole_rows(p) for p in parts]
-    if all(h is not None and h[0] is held[0][0] for h in held):
-        owner, first = held[0]
-        starts = np.cumsum([first] + [len(p) for p in parts]).tolist()
-        if [row for _, row in held] == starts[:-1]:
-            return owner[first: starts[-1]]
-    return np.concatenate(parts)
-
-
 def stack_networks(nets: list[QNetwork]) -> QNetwork:
-    """Concatenate networks of one (input dim, hidden dim, layers) geometry.
-
-    When the networks already are consecutive rows of one stack, in order
-    (as :func:`load_checkpoints` loads them), the result views those rows;
-    otherwise it is a copy, which later changes to the networks do not reach.
-    """
+    """Concatenate networks of one (input dim, hidden dim, layers) geometry
+    into a new stack, which later changes to the networks do not reach."""
     if not nets:
         raise ValueError("need at least one network")
     first = nets[0]
@@ -241,7 +218,7 @@ def stack_networks(nets: list[QNetwork]) -> QNetwork:
     if any((n.input_dim, n.hidden_dim, n.num_layers) != geometry for n in nets):
         raise ValueError("stacked networks must share input dim, hidden dim and layers")
     return _assemble(first.input_dim, first.hidden_dim,
-                     [_joined(list(ps)) for ps in zip(*map(param_list, nets))])
+                     [np.concatenate(ps) for ps in zip(*map(param_list, nets))])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +364,7 @@ def uncached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps
                          batch: int) -> int:
     """Values an uncached :func:`forward_stack` pass of one network on a
     ``(batch, steps, input_dim)`` batch holds at once: the batch, as
-    :func:`q_values` zero-pads it, and one step's gates, cells, tanh(cells),
+    :func:`q_values` gathers it, and one step's gates, cells, tanh(cells),
     hiddens and products.  Python ints, so no overflow."""
     return batch * (steps * input_dim + hidden_dim * (2 * num_layers + 10))
 
@@ -395,37 +372,35 @@ def uncached_pass_values(input_dim: int, hidden_dim: int, num_layers: int, steps
 # Batch geometry of q_values.  OpenBLAS's x86-64 dgemm rounds a product row
 # differently when the row falls in a remainder block of fewer than four
 # rows (its micro-kernel height), and the 64x50 head product changes path
-# again from about 1000 rows.  Padding each network's states with zero
-# states to a multiple of four rows, at most 256, keeps each state's
-# Q-values bit-identical whatever other states (or networks) share its
-# pass; tests/test_inference.py checks this on the host BLAS.
+# again from about 1000 rows.  Filling each network's batch to a multiple
+# of four rows, at most 256, keeps each state's Q-values bit-identical
+# whatever other states (or networks) share its pass; tests/test_inference.py
+# checks this on the host BLAS.
 _ROW_MULTIPLE = 4
 _MAX_ROWS = 256
 
 
-def _pass_width(states: int) -> int:
+def pass_width(states: int) -> int:
+    """Rows of every network's batch in each :func:`q_values` pass, when
+    the busiest network evaluates ``states`` states."""
     return min(states + -states % _ROW_MULTIPLE, _MAX_ROWS)
 
 
-def padded_rows(states: int) -> int:
-    """Rows :func:`q_values` zero-pads ``states`` states of its busiest
-    network to, over all its passes; every network gets as many."""
-    width = _pass_width(states)
-    return -(-states // width) * width
+def q_values(stack: QNetwork, which, padded: np.ndarray, rows) -> np.ndarray:
+    """Q-values (M, NUM_ACTIONS) of each state ``padded[rows[m]]`` under
+    stack row ``which[m]``.
 
-
-def q_values(stack: QNetwork, which, states) -> np.ndarray:
-    """Q-values (M, NUM_ACTIONS) of each ``states[m]`` under network ``which[m]``.
-
-    ``states`` is (M, 2L, D) and ``which`` holds M rows of ``stack``.  Each
-    state takes the next slot of its network's batch, and one uncached
-    :func:`forward_stack` pass evaluates every batch, zero-padded to one
-    width, on the stack rows from the lowest to the highest ``which``; each
-    further 256 states of the busiest network add one pass.  A state's
-    Q-values do not depend on the other states or networks of the call.
+    ``rows`` is (M, 2L): each state's window rows of the feature matrix
+    ``padded``.  Each state takes the next slot of its network's batch, and
+    every batch has :func:`pass_width` slots.  One uncached
+    :func:`forward_stack` pass evaluates the stack rows from the lowest to
+    the highest ``which``, and each further 256 states of the busiest
+    network add one pass; each pass's batches are gathered from ``padded``
+    when it runs.  An empty slot reads the rows of its pass's first state,
+    so a pass reads no row its states do not.  A state's Q-values do not
+    depend on the other states or networks of the call.
     """
     which = np.asarray(which, dtype=np.int64)
-    states = np.asarray(states, dtype=np.float64)
     if not len(which):
         return np.empty((0, NUM_ACTIONS))
     first = int(which.min())
@@ -434,13 +409,18 @@ def q_values(stack: QNetwork, which, states) -> np.ndarray:
     slot = np.empty_like(net)
     slot[np.argsort(net, kind="stable")] = (np.arange(len(net))
                                             - np.repeat(np.cumsum(counts) - counts, counts))
-    busiest = int(counts.max())
-    width = _pass_width(busiest)
+    width = pass_width(int(counts.max()))
     passes, row = np.divmod(slot, width)
-    x = np.zeros((-(-busiest // width), len(counts), width) + states.shape[1:])
-    x[passes, net, row] = states
+    # The state each (pass, network, slot) reads: its own, or in an empty
+    # slot the pass's first state (every pass holds one of the busiest
+    # network's states).
+    index = np.repeat(np.unique(passes, return_index=True)[1], len(counts) * width)
+    index = index.reshape(-1, len(counts), width)
+    index[passes, net, row] = np.arange(len(which))
+    rows = np.asarray(rows, dtype=np.int64)
     stack = stack[first: first + len(counts)]
-    return np.stack([forward_stack(stack, batch) for batch in x])[passes, net, row]
+    return np.stack([forward_stack(stack, padded[rows[states]])
+                     for states in index])[passes, net, row]
 
 
 def backward_stack(stack: QNetwork, cache: StackCache, dq: np.ndarray) -> list[np.ndarray]:
@@ -707,16 +687,16 @@ def load_checkpoint(path, out: QNetwork | None = None) -> QNetwork:
     return out
 
 
-def load_checkpoints(paths) -> list[QNetwork]:
-    """The networks of checkpoint files, in order, each a one-row view of a
-    stack: the files of one geometry load into one stack, in path order, so
-    :func:`stack_networks` of consecutive ones copies nothing.  Every file's
-    header is checked before any stack is allocated."""
+def load_checkpoints(paths) -> list[tuple[QNetwork, int]]:
+    """Checkpoint files loaded into one stack per geometry, each stack's
+    files in path order: per file, its stack and its row there.  Every
+    file's header is checked before any stack is allocated."""
     geometries = [_read_geometry(path) for path in paths]
     stacks = {g: _empty(*g, geometries.count(g)) for g in dict.fromkeys(geometries)}
     rows = dict.fromkeys(stacks, 0)
-    nets = []
+    placed = []
     for path, g in zip(paths, geometries):
-        nets.append(load_checkpoint(path, out=stacks[g][rows[g]: rows[g] + 1]))
+        load_checkpoint(path, out=stacks[g][rows[g]: rows[g] + 1])
+        placed.append((stacks[g], rows[g]))
         rows[g] += 1
-    return nets
+    return placed

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseseekError
-from .features import FeatureSequence, TransitionSet, check_values, whole_rows
+from .features import FeatureSequence, TransitionSet, check_values
 from .nets import (
     AdamState,
     QNetwork,
@@ -62,7 +62,7 @@ class ReplayMemory:
     """Fixed-capacity ring buffer of experiences, oldest evicted first.
 
     A state is stored as its integer window rows into a padded feature
-    matrix (see :func:`pad_videos`); a batch sample is one gather per field.
+    matrix (see :func:`zero_padded`); a batch sample is one gather per field.
     """
 
     def __init__(self, capacity: int = 10000):
@@ -149,12 +149,16 @@ class TrainConfig:
 class SearchPolicy:
     """A phase's frozen begin/end networks and their window length.
 
-    ``train`` returns one; rollouts read only these three attributes.
+    ``train`` returns one.  ``stack``, when given, is a stack that holds
+    both networks, and ``begin_net``'s row in it, ``end_net`` being the next
+    row (as ``infer`` loads its checkpoints); rollouts then evaluate those
+    rows in place.  Without it, a rollout copies the networks into a stack.
     """
 
     begin_net: QNetwork
     end_net: QNetwork
     window_len: int
+    stack: tuple[QNetwork, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -175,29 +179,9 @@ def zero_padded(lengths: list[int], dim: int, pad: int) -> tuple[np.ndarray, np.
     return np.zeros((base[-1] + lengths[-1] + pad, dim)), base
 
 
-def _padded_in_place(videos: list[FeatureSequence], pad: int):
-    # The matrix whose whole rows every video's features are, with at least
-    # pad zero rows around each video, and the videos' base rows; or None.
-    held = [whole_rows(v.features) for v in videos]
-    if any(h is None or h[0] is not held[0][0] for h in held):
-        return None
-    matrix = held[0][0]
-    for v, (_, base) in zip(videos, held):
-        end = base + v.num_clips
-        if (base < pad or end + pad > len(matrix)
-                or matrix[base - pad: base].any() or matrix[end: end + pad].any()):
-            return None
-    return matrix, np.array([base for _, base in held])
-
-
 def pad_videos(videos: list[FeatureSequence], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """The videos' clip features in one :func:`zero_padded` matrix, and each
-    video's base row.  When the videos already are whole rows of one matrix
-    with at least ``pad`` zero rows around each (as ``infer`` loads them),
-    that matrix is returned as it is; otherwise they are copied into a new one."""
-    in_place = _padded_in_place(videos, pad)
-    if in_place is not None:
-        return in_place
+    """The videos' clip features copied into one :func:`zero_padded`
+    matrix, and each video's base row."""
     padded, base = zero_padded([v.num_clips for v in videos], videos[-1].dim, pad)
     for b, v in zip(base, videos):
         padded[b: b + v.num_clips] = v.features
@@ -238,12 +222,14 @@ def greedy(q: np.ndarray) -> np.ndarray:
 
 
 def select_action(
-    net: QNetwork, state: np.ndarray, epsilon: float, rng: np.random.Generator | None
+    net: QNetwork, padded: np.ndarray, rows: np.ndarray, epsilon: float,
+    rng: np.random.Generator | None,
 ) -> int:
-    """Epsilon-greedy action on a ``(2L, D)`` state (see :func:`greedy`)."""
+    """Epsilon-greedy action on the state ``padded[rows]``, ``rows`` being
+    its 2L window rows (see :func:`greedy`)."""
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(2))
-    return int(greedy(q_values(net, [0], state[None]))[0])
+    return int(greedy(q_values(net, [0], padded, rows[None]))[0])
 
 
 def dqn_update(
@@ -447,6 +433,7 @@ def train(
     cfg: TrainConfig,
     init,
     on_video=None,
+    layout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SearchPolicy:
     """Train one phase's agent pair over the dataset; return its frozen policy.
 
@@ -464,9 +451,12 @@ def train(
     (dataset, cfg, init).  Raises, before allocating, ``PhaseseekError``
     when a video's feature dim is not the first video's, and ``ValueError``
     when one update's cached kernel pass (see :func:`check_update_size`) or the
-    window padding would exceed ``MAX_VALUES`` values.  Videos that already
-    are whole rows of one zero-padded matrix (see :func:`pad_videos`) are
-    trained on in place.
+    window padding would exceed ``MAX_VALUES`` values.  With ``layout=(padded,
+    bases)``, clip ``c`` of ``dataset[i]``'s video is row ``bases[i] + c`` of
+    ``padded``, with at least ``window_len // 2`` zero rows around each
+    video (see :func:`zero_padded`), and training reads that matrix in
+    place; without it, the videos are copied into one (see
+    :func:`pad_videos`).
     """
     if not dataset:
         raise PhaseseekError("empty training dataset")
@@ -493,7 +483,10 @@ def train(
     capacity = max(1, min(cfg.memory_capacity, pushes))
     begin, end = (_AgentSlot.fresh(dim, cfg, int(s), capacity) for s in seeds)
     starts = [init.initial_positions(seq, phase) for _, seq, _ in usable]
-    padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
+    if layout is None:
+        padded, bases = pad_videos([seq for _, seq, _ in usable], cfg.window_len // 2)
+    else:
+        padded, bases = layout[0], [layout[1][vid] for vid, _, _ in usable]
 
     with _EndHelper.fork(end, padded, cfg) as helper:
         for episode in range(cfg.episodes_max):
@@ -506,9 +499,8 @@ def train(
                 t = seq.num_clips
                 rows = window_rows(base + np.array([begin.pos, end.pos]), cfg.window_len)
                 for _ in range(cfg.max_steps_per_video):
-                    state = padded[rows]
-                    act_b = select_action(begin.net, state, eps, rng)
-                    act_e = select_action(end.net, state, eps, rng)
+                    act_b = select_action(begin.net, padded, rows, eps, rng)
+                    act_e = select_action(end.net, padded, rows, eps, rng)
                     new_b = apply_action(begin.pos, act_b, t, partner=end.pos, role=ROLE_BEGIN)
                     new_e = apply_action(end.pos, act_e, t, partner=new_b, role=ROLE_END)
                     next_rows = window_rows(base + np.array([new_b, new_e]), cfg.window_len)

@@ -10,8 +10,14 @@ checkouts can be compared with ``diff``::
     PYTHONPATH=src python3 tests/pipeline_digests.py --window 3 --layers 1 > a.txt
 
 ``--gamma`` (default 0.9) sets the training discount: at 0 the agents
-train without a target network, at any other value with one.
-Pytest does not collect this file.  It takes about 15 s on one core.
+train without a target network, at any other value with one.  ``--grid``
+runs every ``--window {1,3,5,7}`` x ``--layers {1,2}`` x ``--gamma {0,0.9}``
+configuration in turn, and prefixes each line with its configuration::
+
+    PYTHONPATH=src python3 tests/pipeline_digests.py --grid > a.txt
+
+Window 1 reads no zero padding.  Pytest does not collect this file.  One
+configuration takes about 15 s on one core, the grid 16 times that.
 
 The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, so on two or
 more usable CPUs the forked processes run: ``train``'s helper, which
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import os
 import shutil
 import sys
@@ -78,14 +85,21 @@ def main_digests(argv=None) -> None:
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--gamma", type=float, default=0.9)
+    p.add_argument("--grid", action="store_true",
+                   help="run every window 1/3/5/7, layers 1/2 and gamma 0/0.9 configuration")
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        (root / "reports").mkdir()
-        with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages
-            run(root, args.window, args.layers, args.gamma)
-        for path in sorted(q for q in root.rglob("*") if q.is_file()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
+    configs = (itertools.product((1, 3, 5, 7), (1, 2), (0.0, 0.9)) if args.grid
+               else [(args.window, args.layers, args.gamma)])
+    for window, layers, gamma in configs:
+        prefix = f"window={window} layers={layers} gamma={gamma:g}  " if args.grid else ""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "reports").mkdir()
+            with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages
+                run(root, window, layers, gamma)
+            for path in sorted(q for q in root.rglob("*") if q.is_file()):
+                print(f"{prefix}{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                      f"{path.relative_to(root)}")
 
 
 if __name__ == "__main__":

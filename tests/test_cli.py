@@ -54,29 +54,23 @@ NOT_UTF8_LABELS = b"clip_index,phase\r\n0,\xff\r\n"
 
 
 def _infer_holding(monkeypatch, argv) -> dict:
-    # Run infer in one process, recording its searches, every network stack
-    # q_values evaluates and every feature matrix pad_videos returns.
+    # Run infer in one process, recording its searches, and every network
+    # stack and feature matrix q_values evaluates and reads.
     seen = {"stacks": [], "matrices": []}
     real_rollout, real_q = inference.rollout_many, inference.q_values
-    real_pad = inference.pad_videos
 
-    def rollout_many(searches, max_steps):
+    def rollout_many(searches, max_steps, layout=None):
         seen["searches"] = searches
-        return real_rollout(searches, max_steps)
+        return real_rollout(searches, max_steps, layout)
 
-    def q_values(stack, which, states):
+    def q_values(stack, which, padded, rows):
         seen["stacks"].append(stack)
-        return real_q(stack, which, states)
-
-    def pad_videos(videos, pad):
-        padded, base = real_pad(videos, pad)
         seen["matrices"].append(padded)
-        return padded, base
+        return real_q(stack, which, padded, rows)
 
     monkeypatch.setattr(procs, "usable_cpus", lambda: 1)
     monkeypatch.setattr(inference, "rollout_many", rollout_many)
     monkeypatch.setattr(inference, "q_values", q_values)
-    monkeypatch.setattr(inference, "pad_videos", pad_videos)
     assert main([str(a) for a in argv]) == 0
     return seen
 
@@ -157,21 +151,32 @@ class TestTrain:
 
     def test_videos_are_trained_in_place(self, workspace, tmp_path, monkeypatch):
         # Each .trnf payload is decoded straight into its rows of the padded
-        # matrix, so pad_videos trains on that matrix and copies nothing.
-        shared = []
-        real = training.pad_videos
+        # matrix, and every greedy step and update reads that one matrix:
+        # training copies no video.
+        videos, matrices = [], []
+        real_train, real_q, real_update = cli.train, training.q_values, training.dqn_update
 
-        def spy(videos, pad):
-            padded, bases = real(videos, pad)
-            shared.extend(np.shares_memory(v.features, padded) for v in videos)
-            return padded, bases
+        def train(dataset, *args, **kwargs):
+            videos.extend(seq for seq, _ in dataset)
+            return real_train(dataset, *args, **kwargs)
 
-        monkeypatch.setattr(training, "pad_videos", spy)
+        def q_values(stack, which, padded, rows):
+            matrices.append(padded)
+            return real_q(stack, which, padded, rows)
+
+        def dqn_update(net, target_net, sample, padded, *args):
+            matrices.append(padded)
+            return real_update(net, target_net, sample, padded, *args)
+
+        monkeypatch.setattr(cli, "train", train)
+        monkeypatch.setattr(training, "q_values", q_values)
+        monkeypatch.setattr(training, "dqn_update", dqn_update)
         assert main([str(a) for a in (
             "train", "--phase", 0, "--phases", 2, "--features-dir", workspace / "data",
             "--labels-dir", workspace / "data", "--checkpoints-dir", tmp_path / "ck",
             *TINY_TRAIN)]) == 0
-        assert shared and all(shared)
+        assert videos and len({id(m) for m in matrices}) == 1
+        assert all(np.shares_memory(v.features, matrices[0]) for v in videos)
 
     def test_mixed_feature_dims_are_data_errors(self, workspace, tmp_path):
         data = tmp_path / "data"
@@ -373,13 +378,13 @@ class TestInferWorkers:
         searched, used, workers = [], [], []
         real_sharded, real_many = cli.rollout_sharded, inference.rollout_many
 
-        def rollout_sharded(searches, max_steps):
+        def rollout_sharded(searches, max_steps, layout=None):
             searched.append(searches)
-            return real_sharded(searches, max_steps)
+            return real_sharded(searches, max_steps, layout)
 
-        def rollout_many(searches, max_steps):
+        def rollout_many(searches, max_steps, layout=None):
             used.append({id(policy) for policy, _, _ in searches})
-            return real_many(searches, max_steps)
+            return real_many(searches, max_steps, layout)
 
         class Worker(procs.Worker):
             def __init__(self, name, serve):
@@ -409,10 +414,10 @@ class TestInferWorkers:
                                         assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
-        def rollout_many(searches, max_steps):
+        def rollout_many(searches, max_steps, layout=None):
             if os.getpid() != parent:
                 raise PhaseseekError("worker shard failed")
-            return real(searches, max_steps)
+            return real(searches, max_steps, layout)
 
         monkeypatch.setattr(inference, "rollout_many", rollout_many)
         assert self._infer(three_phases, 3, tmp_path / "out", monkeypatch) == 2
@@ -425,10 +430,10 @@ class TestInferWorkers:
                                        assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
-        def rollout_many(searches, max_steps):
+        def rollout_many(searches, max_steps, layout=None):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
-            return real(searches, max_steps)
+            return real(searches, max_steps, layout)
 
         monkeypatch.setattr(inference, "rollout_many", rollout_many)
         assert self._infer(three_phases, 3, tmp_path / "out", monkeypatch) == 2
@@ -441,10 +446,10 @@ class TestInferWorkers:
                                        assert_no_children):
         parent, real = os.getpid(), inference.rollout_many
 
-        def rollout_many(searches, max_steps):
+        def rollout_many(searches, max_steps, layout=None):
             if os.getpid() != parent:
                 time.sleep(60)  # still running when the parent's shard fails
-                return real(searches, max_steps)
+                return real(searches, max_steps, layout)
             raise RuntimeError("parent shard failed")
 
         monkeypatch.setattr(inference, "rollout_many", rollout_many)
@@ -458,20 +463,26 @@ class TestInferWorkers:
     def test_each_shard_views_the_loaded_stack(self, three_phases, tmp_path, monkeypatch,
                                                assert_no_children, window):
         # Policies load shard by shard, so each shard's networks are
-        # consecutive rows of the loaded stack, which its search views; a
-        # copy, here or in the worker, fails the run.
-        seen, real = [], inference.stack_networks
+        # consecutive rows of the loaded stack, which its search evaluates
+        # in place; a copy, here or in the worker, fails the run.
+        loaded, seen = [], set()
+        real_load, real_q = cli.load_checkpoints, inference.q_values
 
-        def stack_networks(group):
-            stack = real(group)
-            if not np.shares_memory(stack.fc1_w, group[0].fc1_w):
-                raise PhaseseekError(f"{len(group)} networks copied into one stack")
-            seen.append(len(group))
-            return stack
+        def load_checkpoints(paths):
+            loaded.extend(real_load(paths))
+            return loaded
 
-        monkeypatch.setattr(inference, "stack_networks", stack_networks)
+        def q_values(stack, which, padded, rows):
+            if not np.shares_memory(stack.fc1_w, loaded[0][0].fc1_w):
+                raise PhaseseekError(f"{len(stack)} networks copied into one stack")
+            seen.update(np.asarray(which).tolist())
+            return real_q(stack, which, padded, rows)
+
+        monkeypatch.setattr(cli, "load_checkpoints", load_checkpoints)
+        monkeypatch.setattr(inference, "q_values", q_values)
         assert self._infer(three_phases, window, tmp_path / "out", monkeypatch) == 0
-        assert seen == [4]  # phases 0 and 2 here; phase 1 in the worker
+        assert len({id(stack) for stack, _ in loaded}) == 1
+        assert sorted(seen) == [0, 1, 2, 3]  # phases 0 and 2 here; phase 1 in the worker
         assert_no_children()
 
 

@@ -31,7 +31,6 @@ from phaseseek.features import (
     synth_dataset,
     synth_generate,
     transitions_to_labels,
-    whole_rows,
 )
 
 
@@ -169,26 +168,13 @@ class TestFeatureFiles:
         matrix = np.zeros((6, 2))
         seq = load_features(path, out=matrix[2:5])
         assert seq.clip_len_frames == 8
-        assert whole_rows(seq.features)[1] == 2 and whole_rows(seq.features)[0] is matrix
+        assert np.shares_memory(seq.features, matrix[2:5])
+        assert not np.shares_memory(seq.features, matrix[:2]) and \
+            not np.shares_memory(seq.features, matrix[5:])
         np.testing.assert_array_equal(matrix[2:5], load_features(path).features)
         assert not matrix[:2].any() and not matrix[5:].any()
         with pytest.raises(FeatureFileError, match="3 x 2"):
             load_features(path, out=matrix[:2])
-
-
-class TestWholeRows:
-    def test_rows_of_a_matrix(self):
-        matrix = np.zeros((5, 3))
-        owner, row = whole_rows(matrix[2:4])
-        assert owner is matrix and row == 2
-        assert whole_rows(matrix[3:4][0:1]) == (matrix, 3)
-
-    @pytest.mark.parametrize("view", [
-        lambda m: m, lambda m: m[1:3, :2], lambda m: m[::2], lambda m: m[1:3].view(np.int64),
-        lambda m: m.ravel()[1:16].reshape(5, 3), lambda m: m.T[1:2],
-    ], ids=["owner", "columns", "strided", "dtype", "offset", "transposed"])
-    def test_anything_else_is_none(self, view):
-        assert whole_rows(view(np.zeros((6, 3)))) is None
 
 
 class TestLabelFiles:

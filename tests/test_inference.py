@@ -20,7 +20,13 @@ from phaseseek.inference import (
     rollout_many,
     train_clip_classifier,
 )
-from phaseseek.nets import forward_stack, init_qnetwork, q_values, stack_networks, zero_qnetwork
+from phaseseek.nets import (
+    forward_stack,
+    init_qnetwork,
+    q_values,
+    stack_networks,
+    uncached_pass_values,
+)
 from phaseseek.training import (
     ACTION_LEFT,
     ACTION_RIGHT,
@@ -28,7 +34,9 @@ from phaseseek.training import (
     ROLE_END,
     apply_action,
     greedy,
+    pad_videos,
 )
+from helpers import zero_qnetwork
 
 
 class TestFitFi:
@@ -154,11 +162,15 @@ def _scripted_actions(begin_rule, end_rule, monkeypatch):
     # Replace greedy action selection with position-based scripts; with
     # window_len 1 and one-dimensional position features, each state's
     # rows are [[pos_begin], [pos_end]].  A scripted test runs one search,
-    # whose begin and end networks are stack rows 0 and 1; the fake gives
-    # the scripted action the higher Q-value.
-    def fake(stack, which, states):
-        actions = [begin_rule(int(rows[0, 0])) if net == 0 else end_rule(int(rows[1, 0]))
-                   for net, rows in zip(which, states)]
+    # whose begin and end networks are stack rows 0 and 1; the fake reads
+    # the rows the real q_values reads, and gives the scripted action the
+    # higher Q-value.
+    real = inference.q_values
+
+    def fake(stack, which, padded, rows):
+        real(stack, which, padded, rows)
+        actions = [begin_rule(int(state[0, 0])) if net == 0 else end_rule(int(state[1, 0]))
+                   for net, state in zip(which, padded[rows])]
         q = np.zeros((len(actions), 2))
         q[np.arange(len(actions)), actions] = 1.0
         return q
@@ -204,34 +216,38 @@ class TestRollout:
         assert result.steps_taken == 10
         assert result.end == 15
 
-    def test_visited_matches_instrumented_feature_reads(self, monkeypatch):
-        # Rollout states are gathered from one padded feature matrix; record
-        # every video clip whose row an integer index reads from it.
+    def _visited_and_reads(self, window, monkeypatch):
+        # Rollout states are read from the padded feature matrix of the
+        # layout; record every video clip whose row an integer index reads
+        # from it.  At window 1 the matrix has no zero rows, so a batch
+        # slot that read any row but its pass's states' would show.
         read_log: set[int] = set()
         video = _position_video(60)
         t = video.num_clips
-        pad_videos = inference.pad_videos
+        padded, (base,) = pad_videos([video], window // 2)
 
-        def recording_pad_videos(videos, pad):
-            assert len(videos) == 1 and videos[0] is video
-            padded, (base,) = pad_videos(videos, pad)
+        class RecordingArray(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+                    clips = key.ravel() - base
+                    read_log.update(int(c) for c in clips[(clips >= 0) & (clips < t)])
+                return super().__getitem__(key)
 
-            class RecordingArray(np.ndarray):
-                def __getitem__(self, key):
-                    if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-                        clips = key.ravel() - base
-                        read_log.update(int(c) for c in clips[(clips >= 0) & (clips < t)])
-                    return super().__getitem__(key)
-
-            return padded.view(RecordingArray), np.array([base])
-
-        monkeypatch.setattr(inference, "pad_videos", recording_pad_videos)
-        pair = _pair(window=3)
+        pair = _pair(window=window)
         _scripted_actions(lambda p: ACTION_RIGHT if p < 30 else ACTION_LEFT,
                           lambda p: ACTION_LEFT if p > 40 else ACTION_RIGHT, monkeypatch)
-        result = rollout(pair, video, (20, 50))
+        result, = rollout_many([(pair, video, (20, 50))],
+                               layout=(padded.view(RecordingArray), [base]))
         assert result.converged
-        assert result.visited == read_log
+        return result.visited, read_log
+
+    def test_visited_matches_instrumented_feature_reads(self, monkeypatch):
+        visited, read_log = self._visited_and_reads(3, monkeypatch)
+        assert visited == read_log
+
+    def test_visited_matches_instrumented_feature_reads_at_window_1(self, monkeypatch):
+        visited, read_log = self._visited_and_reads(1, monkeypatch)
+        assert visited == read_log
 
     def test_order_kept_when_begin_chases_end(self, monkeypatch):
         pair = _pair()
@@ -412,6 +428,33 @@ class TestRolloutMany:
         assert list(map(_fields, together)) == list(map(_fields, expected))
         assert_no_children()
 
+    def test_carried_stack_and_layout_are_read_in_place(self, monkeypatch):
+        # Policies that carry rows of one stack, and videos given as rows of
+        # one padded matrix (padded wider than the windows need), are
+        # evaluated and read where they lie, with the results of copies.
+        stack = stack_networks([init_qnetwork(2, 3, 1, seed=seed) for seed in range(4)])
+        carried = [SearchPolicy(stack[row: row + 1], stack[row + 1: row + 2], window,
+                                (stack, row)) for row, window in ((0, 3), (2, 1))]
+        loose = [SearchPolicy(p.begin_net, p.end_net, p.window_len) for p in carried]
+        rng = np.random.default_rng(3)
+        videos = [FeatureSequence(rng.normal(size=(t, 2))) for t in (9, 30)]
+        padded, base = pad_videos(videos, 4)
+        pairs = [(p, v, (int(rng.integers(0, videos[v].num_clips)), videos[v].num_clips - 1))
+                 for p in range(2) for v in range(2)]
+        seen = []
+        real = inference.q_values
+
+        def q_values(stack, which, padded, rows):
+            seen.append((stack, padded))
+            return real(stack, which, padded, rows)
+
+        monkeypatch.setattr(inference, "q_values", q_values)
+        together = rollout_many([(carried[p], videos[v], start) for p, v, start in pairs],
+                                layout=(padded, [base[v] for _, v, _ in pairs]))
+        assert seen and all(s is stack and m is padded for s, m in seen)
+        expected = rollout_many([(loose[p], videos[v], start) for p, v, start in pairs])
+        assert list(map(_fields, together)) == list(map(_fields, expected))
+
     def test_dim_mismatch_rejected(self):
         policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)
         with pytest.raises(PhaseseekError):
@@ -427,20 +470,36 @@ class TestRolloutMany:
         stack = stack_networks([init_qnetwork(dim, hidden, layers, seed=seed)
                                 for seed in (4, 7, 9)])
         rng = np.random.default_rng(5)
-        states = rng.normal(size=(64, 2 * window, dim))
-        alone = {net: np.concatenate([q_values(stack, [net], [s]) for s in states])
+        # 64 states, each 2L rows of one feature matrix.
+        padded = rng.normal(size=(64 * 2 * window, dim))
+        states = np.arange(len(padded)).reshape(64, 2 * window)
+        alone = {net: np.concatenate([q_values(stack, [net], padded, [s]) for s in states])
                  for net in (0, 2)}
         for size in (1, 2, 3, 5, 8, 13, 64, 300, 700):
             idx = {0: rng.integers(0, 64, size), 2: rng.integers(0, 64, int(rng.integers(0, 300)))}
             which = np.repeat([0, 2], [len(idx[0]), len(idx[2])])
             order = rng.permutation(len(which))
-            q = q_values(stack, which[order], states[np.concatenate([idx[0], idx[2]])][order])
+            q = q_values(stack, which[order], padded,
+                         states[np.concatenate([idx[0], idx[2]])][order])
             expected = np.concatenate([alone[0][idx[0]], alone[2][idx[2]]])[order]
             np.testing.assert_array_equal(q, expected)
 
     def test_single_state_ties_go_right(self):
-        q = q_values(zero_qnetwork(3, 4, 1), [0], np.zeros((1, 4, 3)))
+        q = q_values(zero_qnetwork(3, 4, 1), [0], np.zeros((4, 3)), [np.arange(4)])
         assert list(greedy(q)) == [ACTION_RIGHT]
+
+    def test_round_bound_counts_one_pass(self):
+        # 300 videos: each network's 300 first-round states take passes of
+        # 256 rows, and the largest array is one pass, not the 512 rows of
+        # both passes.  With 1-wide features and 20000 videos, the round's
+        # window rows, 2L per state, outgrow one pass.
+        policy = SearchPolicy(init_qnetwork(2, 3, 1), init_qnetwork(2, 3, 1), 3)
+        one_pass = 2 * uncached_pass_values(2, 3, 1, 6, 256)
+        assert inference.round_values([policy], 300) == [one_pass]
+        assert one_pass < 2 * uncached_pass_values(2, 3, 1, 6, 512)
+        narrow = SearchPolicy(init_qnetwork(1, 1, 1), init_qnetwork(1, 1, 1), 5)
+        assert inference.round_values([narrow], 20000) == [2 * 10 * 20000]
+        assert 2 * uncached_pass_values(1, 1, 1, 10, 256) < 2 * 10 * 20000
 
 
 class TestCoverageRate:

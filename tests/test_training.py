@@ -26,7 +26,6 @@ from phaseseek.nets import (
     huber_loss,
     init_qnetwork,
     param_list,
-    zero_qnetwork,
 )
 from phaseseek.training import (
     ACTION_LEFT,
@@ -45,6 +44,7 @@ from phaseseek.training import (
     window_rows,
     zero_padded,
 )
+from helpers import zero_qnetwork
 from reference_kernel import backward_batch, forward_batch, init_row_network, kernel_layout
 
 
@@ -136,15 +136,10 @@ class TestPadVideos:
             videos.append(FeatureSequence(padded[b: b + t]))
         return padded, base, videos
 
-    @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_rows_of_a_padded_matrix_are_used_in_place(self, pad):
-        padded, base, videos = self._loaded(2)
-        out, out_base = pad_videos(videos, pad)
-        assert out is padded
-        np.testing.assert_array_equal(out_base, base)
-
     @pytest.mark.parametrize("change", ["wider", "dirty", "foreign", "columns"])
     def test_anything_else_is_copied(self, change):
+        # pad_videos copies whatever the videos' layout; train and
+        # rollout_many take an explicit layout to read a matrix in place.
         padded, _, videos = self._loaded(2)
         pad = 3 if change == "wider" else 2
         if change == "dirty":
@@ -209,20 +204,21 @@ class TestSelectAction:
     def test_pure_exploration_is_uniform(self):
         rng = np.random.default_rng(123)
         net = _net_with_head_bias(5.0, 0.0)  # would always pick Right greedily
-        state = np.zeros((4, 3))
-        draws = [select_action(net, state, 1.0, rng) for _ in range(10_000)]
+        padded, rows = np.zeros((4, 3)), np.arange(4)
+        draws = [select_action(net, padded, rows, 1.0, rng) for _ in range(10_000)]
         freq = np.mean(np.array(draws) == ACTION_RIGHT)
         assert abs(freq - 0.5) < 0.02
 
     def test_greedy_argmax(self):
+        padded, rows = np.zeros((4, 3)), np.arange(4)
         net = _net_with_head_bias(2.0, 1.0)
-        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_RIGHT
+        assert select_action(net, padded, rows, 0.0, None) == ACTION_RIGHT
         net = _net_with_head_bias(1.0, 2.0)
-        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_LEFT
+        assert select_action(net, padded, rows, 0.0, None) == ACTION_LEFT
 
     def test_tie_breaks_right(self):
         net = _net_with_head_bias(1.0, 1.0)
-        assert select_action(net, np.zeros((4, 3)), 0.0, None) == ACTION_RIGHT
+        assert select_action(net, np.zeros((4, 3)), np.arange(4), 0.0, None) == ACTION_RIGHT
 
 
 class TestReplayMemory:
@@ -396,6 +392,28 @@ def pushes(monkeypatch):
 
 
 class TestTrain:
+    def test_layout_is_read_in_place_with_the_results_of_a_copy(self, monkeypatch):
+        # The videos as rows of one matrix, padded wider than the window
+        # needs, with a video that lacks phase 1 first: bases align with
+        # the dataset, every step reads that matrix, and the trained
+        # weights are those of copied videos.
+        dataset = _tiny_dataset()
+        dataset[0] = (dataset[0][0], TransitionSet(2, {0: (0, 14)}))
+        padded, bases = zero_padded([seq.num_clips for seq, _ in dataset], 4, 3)
+        for (seq, _), base in zip(dataset, bases):
+            padded[base: base + seq.num_clips] = seq.features
+        read, real = [], training.q_values
+        monkeypatch.setattr(training, "q_values",
+                            lambda stack, which, matrix, rows:
+                                read.append(matrix) or real(stack, which, matrix, rows))
+        cfg = _tiny_config(gamma=0.9)
+        placed = train(dataset, 1, cfg, FixedInit(0.4, 0.9), layout=(padded, bases))
+        assert read and all(matrix is padded for matrix in read)
+        copied = train(dataset, 1, cfg, FixedInit(0.4, 0.9))
+        for a, b in ((placed.begin_net, copied.begin_net), (placed.end_net, copied.end_net)):
+            for x, y in zip(param_list(a), param_list(b), strict=True):
+                assert x.tobytes() == y.tobytes()
+
     def test_zero_episodes_returns_fresh_pair(self, pushes):
         dataset = _tiny_dataset()
         cfg = _tiny_config(episodes_max=0)
