@@ -336,8 +336,9 @@ def _read_json(path: Path):
         raise PhaseseekError(f"{path}: not a JSON document: {exc}") from exc
 
 
-def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
-    """One phase's window length, input dim and fixed initialization, from its meta JSON."""
+def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, tuple[int, int, int], FixedInit]:
+    """One phase's window length, network geometry (input dim, hidden dim,
+    layers) and fixed initialization, from its meta JSON."""
     meta_path = _meta_path(ckpt_dir, phase)
     if not meta_path.exists():
         raise PhaseseekError(f"missing checkpoint metadata for phase {phase}: {meta_path}")
@@ -352,10 +353,11 @@ def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
         return value
 
     window = field("window", int, lambda w: w >= 1 and w % 2 == 1)
-    input_dim = field("input_dim", int, lambda d: d >= 1)
+    geometry = tuple(field(key, int, lambda n: n >= 1)
+                     for key in ("input_dim", "hidden", "layers"))
     rho = [field(key, (int, float)) for key in ("rho_begin", "rho_end")]
     try:
-        return window, input_dim, FixedInit(*rho)
+        return window, geometry, FixedInit(*rho)
     except ValueError as exc:
         raise PhaseseekError(f"{meta_path}: {exc}") from exc
 
@@ -363,8 +365,10 @@ def _read_meta(ckpt_dir: Path, phase: int) -> tuple[int, int, FixedInit]:
 def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dict[int, FixedInit]]:
     """Each phase's frozen policy and fixed initialization, checked against its meta JSON.
 
-    Every network loads into one stack per geometry, and each policy
-    carries its stack and rows, which the search evaluates in place.  The
+    Every network loads into one stack per geometry, and each policy is
+    its begin and end rows there, which the search evaluates in place.
+    Both of a phase's checkpoints must have its meta's input dim, hidden
+    dim and layers, so they load into consecutive rows of one stack.  The
     phases load shard by shard as ``rollout_sharded`` deals them (see
     :func:`~phaseseek.inference.shards`) and by window length within a
     shard, so the rows that each shard's ``rollout_many`` evaluates
@@ -378,16 +382,13 @@ def _load_policies(ckpt_dir: Path, phases) -> tuple[dict[int, SearchPolicy], dic
     placed = load_checkpoints(paths)
     policies = {}
     for i, phase in enumerate(order):
-        window, input_dim, _ = metas[phase]
-        (stack, row), (end_stack, end_row) = placed[2 * i: 2 * i + 2]
-        nets = stack[row: row + 1], end_stack[end_row: end_row + 1]
-        for path, net in zip(paths[2 * i: 2 * i + 2], nets):
-            if net.input_dim != input_dim:
-                raise PhaseseekError(f"{path}: input dim {net.input_dim} does not match "
-                                     f"meta input_dim {input_dim}")
-        # Files of one geometry load into consecutive rows, so end follows
-        # begin in one stack unless their geometries differ.
-        policies[phase] = SearchPolicy(*nets, window, (stack, row) if end_stack is stack else None)
+        window, geometry, _ = metas[phase]
+        for path, (stack, _) in zip(paths[2 * i: 2 * i + 2], placed[2 * i: 2 * i + 2]):
+            found = stack.input_dim, stack.hidden_dim, stack.num_layers
+            if found != geometry:
+                raise PhaseseekError(f"{_meta_path(ckpt_dir, phase)}: input_dim, hidden, layers "
+                                     f"{geometry} do not match {path.name}'s {found}")
+        policies[phase] = SearchPolicy(*placed[2 * i], window)
     return policies, {phase: fi for phase, (_, _, fi) in metas.items()}
 
 
@@ -424,13 +425,13 @@ def cmd_infer(args) -> int:
     # for the widest window, which the searches read in place.
     def check(stem, t, d):
         for phase in phases:
-            expected = policies[phase].begin_net.input_dim
+            expected = policies[phase].stack.input_dim
             if d != expected:
                 raise PhaseseekError(f"{stem}: feature dim {d} does not match "
                                      f"input dim {expected} of the phase {phase} policy")
 
     stems, paths, lengths = _read_headers(Path(args.features_dir), check)
-    dim = policies[phases[0]].begin_net.input_dim
+    dim = policies[phases[0]].stack.input_dim
     # A window group's first search round, every network on one state per
     # video, is its largest: bound it before anything is allocated.
     for phase, values in zip(phases, round_values([policies[p] for p in phases], len(lengths))):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PhaseseekError
 from .features import FeatureSequence, PhaseLabels, TransitionSet
-from .nets import QNetwork, pass_width, q_values, stack_networks, uncached_pass_values
+from .nets import pass_width, q_values, uncached_pass_values
 from .procs import Worker, processes
 from .training import (
     ROLE_BEGIN,
@@ -182,38 +182,39 @@ class RolloutResult:
             raise ValueError("begin must not exceed end")
 
 
-def _group_key(net: QNetwork, window_len: int) -> tuple:
-    # rollout_many evaluates networks of one geometry that read windows of
-    # one length together: those a policy's stack carries (infer loads one
-    # stack per geometry), or else copied into a stack.
-    return (net.input_dim, net.hidden_dim, net.num_layers, window_len)
+def _groups(policies: list[SearchPolicy]) -> np.ndarray:
+    """Per policy, its group of :func:`rollout_many`: the policies whose
+    networks are rows of one stack and read windows of one length,
+    numbered in order of first appearance."""
+    number: dict[tuple[int, int], int] = {}
+    return np.array([number.setdefault((id(policy.stack), policy.window_len), len(number))
+                     for policy in policies], dtype=np.int64)
 
 
 def round_values(policies: list[SearchPolicy], videos: int) -> list[int]:
     """Per policy, the values the largest array of :func:`rollout_many`'s
-    first round holds in the policy's groups, when every policy searches
+    first round holds in the policy's group, when every policy searches
     each of ``videos`` videos once.
 
-    The first round moves every agent, so each network of a group
+    The first round moves every agent, so each stack row of a group
     evaluates one state per search of each policy it serves.
     :func:`~phaseseek.nets.q_values` gathers one pass at a time, and a pass
-    gives every network of the group a batch of
-    :func:`~phaseseek.nets.pass_width` rows of the busiest network's
-    states; that gathered pass, with one step's working set (see
+    gives every row from the group's lowest to its highest a batch of
+    :func:`~phaseseek.nets.pass_width` rows of the busiest row's states;
+    that gathered pass, with one step's working set (see
     :func:`~phaseseek.nets.uncached_pass_values`), is counted, or the
     round's window rows, 2L per moving agent, when those are more.
     """
-    groups: dict[tuple, dict[int, int]] = {}  # per group key: states per network
-    for policy in policies:
-        for net in (policy.begin_net, policy.end_net):
-            states = groups.setdefault(_group_key(net, policy.window_len), {})
-            states[id(net)] = states.get(id(net), 0) + videos
-    values = {key: max(len(states) * uncached_pass_values(*key[:3], 2 * key[3],
-                                                          pass_width(max(states.values()))),
-                       2 * key[3] * sum(states.values()))
-              for key, states in groups.items()}
-    return [max(values[_group_key(net, policy.window_len)]
-                for net in (policy.begin_net, policy.end_net)) for policy in policies]
+    group_of, values = _groups(policies), []
+    rows = np.array([policy.row for policy in policies], dtype=np.int64)
+    for g, first in enumerate(np.unique(group_of, return_index=True)[1]):
+        stack, window = policies[first].stack, policies[first].window_len
+        mine = rows[group_of == g]
+        states = videos * np.bincount(np.concatenate((mine, mine + 1)) - mine.min())
+        values.append(max(len(states) * uncached_pass_values(
+            stack.input_dim, stack.hidden_dim, stack.num_layers, 2 * window,
+            pass_width(int(states.max()))), 2 * window * int(states.sum())))
+    return [values[g] for g in group_of]
 
 
 def rollout_many(
@@ -223,18 +224,18 @@ def rollout_many(
 ) -> list[RolloutResult]:
     """Run every ``(policy, video, init_pos)`` search greedily, in lockstep.
 
-    Each round, the networks of one stack that read windows of one length
-    evaluate the states of all their unsettled agents in one
-    :func:`~phaseseek.nets.q_values` call (one pass unless a network has
-    more than 256 states), each state given as its window rows of one
-    padded feature matrix.  With ``layout=(padded, bases)``, clip ``c`` of
-    search ``i``'s video is row ``bases[i] + c`` of ``padded``, with at
-    least ``L // 2`` zero rows around the video for the search's window
-    length ``L``, and every video has the matrix's feature dim; without
-    it, the videos of each feature dim are copied into one matrix padded
-    for the widest window (see :func:`~phaseseek.training.pad_videos`).  A
-    policy that carries its ``stack`` is evaluated on those rows in place;
-    the other networks are stacked per geometry and window length.  Both
+    The videos must share one feature dim, that of every policy's stack,
+    or the call raises ``PhaseseekError``.  Each round, the policies of one
+    stack that read windows of one length evaluate the states of all their
+    unsettled agents in one :func:`~phaseseek.nets.q_values` call on the
+    stack's rows in place (one pass unless a row has more than 256
+    states), each state given as its window rows of one padded feature
+    matrix.  With ``layout=(padded,
+    bases)``, clip ``c`` of search ``i``'s video is row ``bases[i] + c`` of
+    ``padded``, with at least ``L // 2`` zero rows around the video for the
+    search's window length ``L``, and every video has the matrix's feature
+    dim; without it, the videos are copied into one matrix padded for the
+    widest window (see :func:`~phaseseek.training.pad_videos`).  Both
     agents of a search decide on the pre-move state; begin moves first and
     end is clamped against begin's new position.  An agent settles at
     min(p, p') once its last three positions are (p, p', p) with
@@ -249,54 +250,35 @@ def rollout_many(
     """
     if not searches:
         return []
+    dims = sorted({video.dim for _, video, _ in searches})
+    if len(dims) > 1:
+        raise PhaseseekError(f"one search call reads videos of one feature dim, got dims "
+                             f"{', '.join(map(str, dims))}")
+    policies = [policy for policy, _, _ in searches]
+    group_of = _groups(policies)
+    # Per group, its first policy.
+    heads = [policies[i] for i in np.unique(group_of, return_index=True)[1]]
+    for head in heads:
+        if head.stack.input_dim != dims[0]:
+            raise PhaseseekError(f"video feature dim {dims[0]} does not match network "
+                                 f"input dim {head.stack.input_dim}")
     if layout is None:
-        # The videos of each feature dim in one matrix, padded for the
-        # widest window.
-        pad = max(policy.window_len for policy, _, _ in searches) // 2
-        dims: dict[int, dict[int, FeatureSequence]] = {}
-        for _, video, _ in searches:
-            dims.setdefault(video.dim, {})[id(video)] = video
-        matrices, base_of = {}, {}
-        for dim, videos in dims.items():
-            matrices[dim], base = pad_videos(list(videos.values()), pad)
-            base_of.update(zip(videos, base.tolist()))
-        bases = [base_of[id(video)] for _, video, _ in searches]
-    else:
-        matrices, bases = {layout[0].shape[1]: layout[0]}, layout[1]
-    # Per group, a stack's networks that read windows of one length: the
-    # stack, or None and the networks to stack, by id, with their rows.
-    groups: dict[tuple, tuple[QNetwork | None, dict]] = {}
-    slots, starts = [], []  # (group key, stack row) per agent; starts per search
-    for policy, video, init_pos in searches:
-        for r, net in enumerate((policy.begin_net, policy.end_net)):
-            if net.input_dim != video.dim:
-                raise PhaseseekError(f"video feature dim {video.dim} does not match "
-                                     f"network input dim {net.input_dim}")
-            if policy.stack is not None:
-                stack, row = policy.stack
-                key = (id(stack), policy.window_len)
-                groups.setdefault(key, (stack, {}))
-                row += r
-            else:
-                key = _group_key(net, policy.window_len)
-                nets = groups.setdefault(key, (None, {}))[1]
-                row = nets.setdefault(id(net), (len(nets), net))[0]
-            slots.append((key, row))
-        starts.append(sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos))
-    stacks = [stack_networks([net for _, net in nets.values()]) if stack is None else stack
-              for stack, nets in groups.values()]
+        videos = {id(video): video for _, video, _ in searches}
+        padded, base = pad_videos(list(videos.values()), max(p.window_len for p in policies) // 2)
+        base_of = dict(zip(videos, base.tolist()))
+        layout = padded, [base_of[id(video)] for _, video, _ in searches]
+    padded, bases = layout
 
-    # Per agent, shape (searches, 2) with begin in column 0: its group and
-    # stack row, its position and previous position, whether it settled,
-    # and the range of positions it reached; per search, its video's base
-    # row.
+    # Per search: its group, its agents' stack rows, its video's base row;
+    # per agent, shape (searches, 2) with begin in column 0: its position
+    # and previous position, whether it settled, and the range of
+    # positions it reached.
     n = len(searches)
-    index = {key: g for g, key in enumerate(groups)}
-    group_of, row_of = np.array([(index[key], row) for key, row in slots],
-                                dtype=np.int64).reshape(n, 2, 2).transpose(2, 0, 1)
+    row_of = np.array([policy.row for policy in policies], dtype=np.int64)[:, None] + [0, 1]
     base = np.array(bases, dtype=np.int64).reshape(n, 1)
     num_clips = np.array([video.num_clips for _, video, _ in searches], dtype=np.int64)
-    pos = np.array(starts, dtype=np.int64).reshape(n, 2)
+    pos = np.array([sorted(min(max(p, 0), video.num_clips - 1) for p in init_pos)
+                    for _, video, init_pos in searches], dtype=np.int64).reshape(n, 2)
     prev = np.full((n, 2), -2)  # no position equals -2
     settled = np.zeros((n, 2), dtype=bool)
     low, high = pos.copy(), pos.copy()
@@ -310,13 +292,13 @@ def rollout_many(
         # as a search whose agents both settled is no longer active.
         role, who = np.nonzero(~settled.T)
         actions = np.empty(len(who), dtype=np.int64)
-        for g, (key, stack) in enumerate(zip(groups, stacks)):
-            mine = np.flatnonzero(group_of[who, role] == g)
+        for g, head in enumerate(heads):
+            mine = np.flatnonzero(group_of[who] == g)
             if not len(mine):
                 continue
             s, r = who[mine], role[mine]
-            rows = window_rows(base[s] + pos[s], key[-1])
-            actions[mine] = greedy(q_values(stack, row_of[s, r], matrices[stack.input_dim], rows))
+            rows = window_rows(base[s] + pos[s], head.window_len)
+            actions[mine] = greedy(q_values(head.stack, row_of[s, r], padded, rows))
         # All begin moves precede all end moves, so end is clamped against
         # begin's new (or settled) position.
         for r, agent in enumerate((ROLE_BEGIN, ROLE_END)):

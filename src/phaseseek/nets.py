@@ -19,7 +19,9 @@ one pass, and, when asked to cache, keeps every step's activations for
 :func:`param_list`.  :func:`forward` and :func:`backward` are its
 one-network wrappers, and :func:`q_values` evaluates states, given as
 window rows of a padded feature matrix, under chosen rows of a stack for
-greedy search.  Training code is the single writer of a network's arrays,
+greedy search.  A search policy's begin and end networks are two
+consecutive rows of one stack: a loaded stack, or a two-row one that
+:func:`stack_networks` copies them into.  Training code is the single writer of a network's arrays,
 in one process (a forked helper only reads them); frozen networks are
 safe to share across threads.
 """

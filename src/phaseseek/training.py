@@ -47,6 +47,7 @@ from .nets import (
     init_qnetwork,
     param_list,
     q_values,
+    stack_networks,
 )
 from .procs import Worker, processes
 
@@ -147,18 +148,26 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SearchPolicy:
-    """A phase's frozen begin/end networks and their window length.
+    """A phase's frozen begin/end networks, rows ``row`` and ``row + 1`` of
+    ``stack``, which rollouts evaluate in place, and their window length.
+    :meth:`pair` makes one of two loose networks, as ``train`` returns."""
 
-    ``train`` returns one.  ``stack``, when given, is a stack that holds
-    both networks, and ``begin_net``'s row in it, ``end_net`` being the next
-    row (as ``infer`` loads its checkpoints); rollouts then evaluate those
-    rows in place.  Without it, a rollout copies the networks into a stack.
-    """
-
-    begin_net: QNetwork
-    end_net: QNetwork
+    stack: QNetwork
+    row: int
     window_len: int
-    stack: tuple[QNetwork, int] | None = None
+
+    @classmethod
+    def pair(cls, begin_net: QNetwork, end_net: QNetwork, window_len: int) -> SearchPolicy:
+        """The policy of two networks of one geometry, copied into a new stack."""
+        return cls(stack_networks([begin_net, end_net]), 0, window_len)
+
+    @property
+    def begin_net(self) -> QNetwork:
+        return self.stack[self.row: self.row + 1]
+
+    @property
+    def end_net(self) -> QNetwork:
+        return self.stack[self.row + 1: self.row + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -539,4 +548,4 @@ def train(
         logger.warning("phase %d: no Bellman update ran: %d record(s) pushed per agent, "
                        "memory holds %d, batch needs %d", phase, pushes,
                        len(begin.memory), cfg.batch)
-    return SearchPolicy(begin.net, end.net, cfg.window_len)
+    return SearchPolicy.pair(begin.net, end.net, cfg.window_len)

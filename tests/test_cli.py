@@ -19,7 +19,7 @@ from phaseseek.cli import main
 from phaseseek.errors import PhaseseekError
 from phaseseek.features import load_labels
 from phaseseek.inference import LinearClipClassifier
-from phaseseek.nets import param_list
+from phaseseek.nets import init_qnetwork, param_list, save_checkpoint
 
 TINY_TRAIN = [
     "--window", "3", "--episodes", "1", "--max-steps", "20", "--batch", "16",
@@ -566,11 +566,12 @@ class TestTrainHelper:
 
 
 def _meta_cases():
-    good = {"phase": 0, "window": 3, "rho_begin": 0.0, "rho_end": 0.5, "input_dim": 6}
+    good = {"phase": 0, "window": 3, "rho_begin": 0.0, "rho_end": 0.5, "input_dim": 6,
+            "hidden": 8, "layers": 1}
     yield "not_json", "{window: 3"
     yield "not_utf8", b"\xff\xfe{}"
     yield "not_an_object", "[3, 0.0, 0.5, 6]"
-    for key in ("window", "rho_begin", "rho_end", "input_dim"):
+    for key in ("window", "rho_begin", "rho_end", "input_dim", "hidden", "layers"):
         yield f"missing_{key}", {k: v for k, v in good.items() if k != key}
     for key, bad in (("window", "3"), ("window", 3.0), ("window", True), ("window", 4),
                      ("window", 0), ("rho_begin", "0.1"), ("rho_begin", None),
@@ -578,6 +579,8 @@ def _meta_cases():
                      ("input_dim", 6.0), ("input_dim", 0)):
         yield f"{key}_{bad!r}", {**good, key: bad}
     yield "input_dim_differs_from_qnet", {**good, "input_dim": 7}
+    yield "hidden_differs_from_qnet", {**good, "hidden": 9}
+    yield "layers_differs_from_qnet", {**good, "layers": 2}
 
 
 class TestInferMetaValidation:
@@ -598,6 +601,22 @@ class TestInferMetaValidation:
             "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
         ]) == 2
         assert "phase0_" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_begin_end_geometry_mismatch_is_data_error(self, workspace, tmp_path, capsys):
+        # A phase's end network of another hidden dim than its begin network
+        # and its meta: refused, naming the meta file and the checkpoint.
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "ckpt", ckpt)
+        save_checkpoint(init_qnetwork(6, 9, 1), ckpt / "phase0_end.qnet")
+        out = tmp_path / "out"
+        assert main([
+            "infer", "--phases", "2",
+            "--features-dir", str(workspace / "data"),
+            "--checkpoints-dir", str(ckpt), "--out-dir", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "phase0_meta.json" in err and "phase0_end.qnet" in err
         assert not out.exists()
 
     def test_oversized_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):

@@ -126,17 +126,18 @@ _json_values = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
-_META_KEYS = ["window", "input_dim", "rho_begin", "rho_end", "phase", "hidden"]
+_META_KEYS = ["window", "input_dim", "rho_begin", "rho_end", "phase", "hidden", "layers"]
 
 
 @st.composite
 def _meta_documents(draw):
     # A checkpoint meta JSON: mostly an object over the meta keys with
     # valid-looking and arbitrary values, sometimes any JSON value or bytes.
-    valid = {"window": 3, "input_dim": 3, "rho_begin": 0.1, "rho_end": 0.9}
+    valid = {"window": 3, "input_dim": 3, "rho_begin": 0.1, "rho_end": 0.9, "hidden": 4,
+             "layers": 1}
     doc = {key: draw(st.one_of(st.just(valid[key]), _json_values)) if key in valid
            else draw(_json_values)
-           for key in draw(st.lists(st.sampled_from(_META_KEYS), max_size=6, unique=True))}
+           for key in draw(st.lists(st.sampled_from(_META_KEYS), max_size=7, unique=True))}
     kind = draw(st.sampled_from(["object", "object", "value", "bytes"]))
     if kind == "bytes":
         return draw(st.binary(max_size=64))

@@ -32,9 +32,11 @@ from phaseseek.training import (
     ACTION_RIGHT,
     ROLE_BEGIN,
     ROLE_END,
+    TrainConfig,
     apply_action,
     greedy,
     pad_videos,
+    train,
 )
 from helpers import zero_qnetwork
 
@@ -155,7 +157,8 @@ class TestClipClassifier:
 
 
 def _pair(dim=1, window=1):
-    return SearchPolicy(init_qnetwork(dim, 4, 1, seed=0), init_qnetwork(dim, 4, 1, seed=1), window)
+    return SearchPolicy.pair(init_qnetwork(dim, 4, 1, seed=0), init_qnetwork(dim, 4, 1, seed=1),
+                             window)
 
 
 def _scripted_actions(begin_rule, end_rule, monkeypatch):
@@ -329,7 +332,7 @@ def _fields(result):
 def _search_sets(draw):
     dim = draw(st.integers(1, 3))
     policies = [
-        SearchPolicy(
+        SearchPolicy.pair(
             init_qnetwork(dim, hidden_dim=3, num_layers=layers, seed=seed),
             init_qnetwork(dim, hidden_dim=3, num_layers=layers, seed=seed + 1),
             window,
@@ -378,31 +381,35 @@ class TestRolloutMany:
             return real(stack, x)
 
         monkeypatch.setattr(nets, "forward_stack", counting)
-        narrow = SearchPolicy(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
-        # Same networks as narrow but read through another window length,
-        # so they form a second group; a third policy shares a network.
-        wide = SearchPolicy(narrow.begin_net, narrow.end_net, 3)
-        shared = SearchPolicy(narrow.begin_net, zero_qnetwork(1, 4, 1), 1)
+        narrow = SearchPolicy.pair(zero_qnetwork(1, 4, 1), zero_qnetwork(1, 4, 1), 1)
+        # Same stack rows as narrow but read through another window length,
+        # so they form a second group; a third policy shares narrow's begin
+        # network, which pair copies into a stack of its own.
+        wide = SearchPolicy(narrow.stack, narrow.row, 3)
+        shared = SearchPolicy.pair(narrow.begin_net, zero_qnetwork(1, 4, 1), 1)
         videos = [_position_video(t) for t in (10, 20, 30)]
         searches = [(narrow, v, (2, 5)) for v in videos]
         searches += [(wide, videos[0], (2, 5)), (shared, videos[1], (2, 5))]
         results = rollout_many(searches, max_steps=3)
         # zero networks tie, so both agents walk Right: no search settles early
         assert [r.steps_taken for r in results] == [3] * 5
-        # Per round: the window-1 group stacks three networks (the shared
-        # begin network sees 4 states, the others 3 and 1, padded to 4
-        # rows); the window-3 group stacks two networks with one state each.
-        assert calls == [(3, 4, 2), (2, 4, 6)] * 3
+        # Per round, one pass per stack and window length, each over the
+        # stack's two rows: narrow's 3 states per row, padded to 4; wide's
+        # one per row at window 3; shared's one per row in its own stack.
+        assert calls == [(2, 4, 2), (2, 4, 6), (2, 4, 2)] * 3
 
     def test_two_geometries_match_each_alone(self):
-        small = SearchPolicy(init_qnetwork(2, 5, 1, seed=3), init_qnetwork(2, 5, 1, seed=4), 3)
-        deep = SearchPolicy(init_qnetwork(3, 4, 2, seed=5), init_qnetwork(3, 4, 2, seed=6), 1)
-        wide = SearchPolicy(small.begin_net, small.end_net, 5)
+        # Two geometries at one feature dim; wide reads small's stack rows
+        # through another window length.
+        small = SearchPolicy.pair(init_qnetwork(2, 5, 1, seed=3), init_qnetwork(2, 5, 1, seed=4),
+                                  3)
+        deep = SearchPolicy.pair(init_qnetwork(2, 4, 2, seed=5), init_qnetwork(2, 4, 2, seed=6), 1)
+        wide = SearchPolicy(small.stack, small.row, 5)
         rng = np.random.default_rng(8)
         searches = []
-        for policy, dim in ((small, 2), (deep, 3), (wide, 2), (deep, 3), (small, 2)):
+        for policy in (small, deep, wide, deep, small):
             t = int(rng.integers(8, 40))
-            video = FeatureSequence(rng.normal(size=(t, dim)))
+            video = FeatureSequence(rng.normal(size=(t, 2)))
             searches.append((policy, video, (int(rng.integers(0, t)), int(rng.integers(0, t)))))
         together = rollout_many(searches, max_steps=25)
         for search, result in zip(searches, together):
@@ -414,9 +421,10 @@ class TestRolloutMany:
         # 1 in a worker whose results outgrow a 64 KiB pipe buffer (the
         # zero networks walk Right for 200 rounds, reading 200+ clips).
         monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
-        policies = [SearchPolicy(init_qnetwork(2, 3, 1, seed=4), init_qnetwork(2, 3, 1, seed=5), 3),
-                    SearchPolicy(zero_qnetwork(2, 3, 1), zero_qnetwork(2, 3, 1), 3),
-                    SearchPolicy(init_qnetwork(2, 3, 1, seed=6), init_qnetwork(2, 3, 1, seed=7), 5)]
+        policies = [
+            SearchPolicy.pair(init_qnetwork(2, 3, 1, seed=4), init_qnetwork(2, 3, 1, seed=5), 3),
+            SearchPolicy.pair(zero_qnetwork(2, 3, 1), zero_qnetwork(2, 3, 1), 3),
+            SearchPolicy.pair(init_qnetwork(2, 3, 1, seed=6), init_qnetwork(2, 3, 1, seed=7), 5)]
         rng = np.random.default_rng(9)
         videos = [FeatureSequence(rng.normal(size=(t, 2))) for t in rng.integers(300, 600, 120)]
         searches = [(policy, video, tuple(rng.integers(0, video.num_clips, 2).tolist()))
@@ -429,34 +437,43 @@ class TestRolloutMany:
         assert_no_children()
 
     def test_carried_stack_and_layout_are_read_in_place(self, monkeypatch):
-        # Policies that carry rows of one stack, and videos given as rows of
-        # one padded matrix (padded wider than the windows need), are
-        # evaluated and read where they lie, with the results of copies.
-        stack = stack_networks([init_qnetwork(2, 3, 1, seed=seed) for seed in range(4)])
-        carried = [SearchPolicy(stack[row: row + 1], stack[row + 1: row + 2], window,
-                                (stack, row)) for row, window in ((0, 3), (2, 1))]
-        loose = [SearchPolicy(p.begin_net, p.end_net, p.window_len) for p in carried]
+        # A policy train returns, rolled out twice: once over videos given
+        # as rows of one padded matrix (padded wider than the windows
+        # need), once over copies.  Both times every pass evaluates the
+        # policy's own stack, and the first reads that matrix in place.
         rng = np.random.default_rng(3)
         videos = [FeatureSequence(rng.normal(size=(t, 2))) for t in (9, 30)]
+        cfg = TrainConfig(episodes_max=1, max_steps_per_video=8, batch=4, gamma=0.0,
+                          window_len=3, hidden_dim=3, num_layers=1)
+        policy = train([(video, TransitionSet(1, {0: (2, video.num_clips - 3)}))
+                        for video in videos], 0, cfg, FixedInit(0.2, 0.8))
         padded, base = pad_videos(videos, 4)
-        pairs = [(p, v, (int(rng.integers(0, videos[v].num_clips)), videos[v].num_clips - 1))
-                 for p in range(2) for v in range(2)]
+        starts = [(int(rng.integers(0, video.num_clips)), video.num_clips - 1)
+                  for video in videos]
         seen = []
         real = inference.q_values
 
-        def q_values(stack, which, padded, rows):
-            seen.append((stack, padded))
-            return real(stack, which, padded, rows)
+        def q_values(stack, which, matrix, rows):
+            seen.append((stack, matrix))
+            return real(stack, which, matrix, rows)
 
         monkeypatch.setattr(inference, "q_values", q_values)
-        together = rollout_many([(carried[p], videos[v], start) for p, v, start in pairs],
-                                layout=(padded, [base[v] for _, v, _ in pairs]))
-        assert seen and all(s is stack and m is padded for s, m in seen)
-        expected = rollout_many([(loose[p], videos[v], start) for p, v, start in pairs])
-        assert list(map(_fields, together)) == list(map(_fields, expected))
+        searches = [(policy, video, start) for video, start in zip(videos, starts)]
+        placed = rollout_many(searches, layout=(padded, list(base)))
+        assert seen and all(s is policy.stack and m is padded for s, m in seen)
+        seen.clear()
+        copied = rollout_many(searches)
+        assert seen and all(s is policy.stack and m is not padded for s, m in seen)
+        assert list(map(_fields, placed)) == list(map(_fields, copied))
+
+    def test_videos_of_two_dims_are_refused(self):
+        policy = _pair(dim=2)
+        videos = [FeatureSequence(np.zeros((10, 2))), FeatureSequence(np.zeros((10, 3)))]
+        with pytest.raises(PhaseseekError, match="2, 3"):
+            rollout_many([(policy, video, (0, 5)) for video in videos])
 
     def test_dim_mismatch_rejected(self):
-        policy = SearchPolicy(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)
+        policy = SearchPolicy.pair(zero_qnetwork(2, 4, 1), zero_qnetwork(2, 4, 1), 1)
         with pytest.raises(PhaseseekError):
             rollout_many([(policy, _position_video(10), (0, 5))])
 
@@ -493,11 +510,11 @@ class TestRolloutMany:
         # 256 rows, and the largest array is one pass, not the 512 rows of
         # both passes.  With 1-wide features and 20000 videos, the round's
         # window rows, 2L per state, outgrow one pass.
-        policy = SearchPolicy(init_qnetwork(2, 3, 1), init_qnetwork(2, 3, 1), 3)
+        policy = SearchPolicy.pair(init_qnetwork(2, 3, 1), init_qnetwork(2, 3, 1), 3)
         one_pass = 2 * uncached_pass_values(2, 3, 1, 6, 256)
         assert inference.round_values([policy], 300) == [one_pass]
         assert one_pass < 2 * uncached_pass_values(2, 3, 1, 6, 512)
-        narrow = SearchPolicy(init_qnetwork(1, 1, 1), init_qnetwork(1, 1, 1), 5)
+        narrow = SearchPolicy.pair(init_qnetwork(1, 1, 1), init_qnetwork(1, 1, 1), 5)
         assert inference.round_values([narrow], 20000) == [2 * 10 * 20000]
         assert 2 * uncached_pass_values(1, 1, 1, 10, 256) < 2 * 10 * 20000
 

@@ -35,6 +35,7 @@ from phaseseek.training import (
     ReplayMemory,
     SearchPolicy,
     TrainConfig,
+    TrainVideoLog,
     apply_action,
     compute_reward,
     dqn_update,
@@ -508,17 +509,20 @@ class TestTrain:
 
     def test_no_network_is_restacked(self, monkeypatch):
         # Training evaluates and updates each network where it lies: no
-        # step copies a network into a stack.
-        calls = []
+        # step copies a network into a stack.  The one copy is the returned
+        # policy's two-row stack, made after the last video.
+        events = []
         for module in (nets, training, inference):
             real = getattr(module, "stack_networks", None)
             if real is not None:
-                monkeypatch.setattr(module, "stack_networks",
-                                    lambda group, real=real: calls.append(len(group)) or real(group))
-        logs = []
-        train(_tiny_dataset(), 1, _tiny_config(gamma=0.9), FixedInit(0.4, 0.9), on_video=logs.append)
+                monkeypatch.setattr(module, "stack_networks", lambda group, real=real:
+                                    events.append(len(group)) or real(group))
+        policy = train(_tiny_dataset(), 1, _tiny_config(gamma=0.9), FixedInit(0.4, 0.9),
+                       on_video=events.append)
+        logs = events[:-1]
+        assert all(isinstance(r, TrainVideoLog) for r in logs)
         assert all(np.isfinite(r.begin_loss) for r in logs[1:])  # updates ran
-        assert calls == []
+        assert events[-1] == 2 and len(policy.stack) == 2
 
     @pytest.mark.parametrize("field, value", [("window_len", 2**21 + 1), ("batch", 2**21),
                                               ("hidden_dim", 2**20)])
